@@ -6,10 +6,12 @@
 #   scripts/check.sh --chaos     # chaos leg only (fault tests under ASan)
 #   scripts/check.sh --crash     # crash leg only (kill-9 recovery, ASan)
 #   scripts/check.sh --trace     # trace leg only (e2e trace + Chrome export)
+#   scripts/check.sh --release   # release leg only (-O3 -Werror build + ctest)
 #
 # Legs (each can be skipped by the environment lacking the tool):
 #   1. chronos_lint self-test + tree lint          (scripts/chronos_lint.py)
 #   2. plain build (-Wall -Wextra -Werror) + ctest (build/)
+#   2b. Release build (-Werror at -O3) + ctest      (build-release/)
 #   3. ASan+UBSan build + ctest                    (build-asan/)
 #   4. TSan build + concurrency-focused tests      (build-tsan/)
 #   5. seeded chaos suite under ASan, 3 fixed seeds (build-asan/)
@@ -29,6 +31,7 @@ QUICK=0
 CHAOS_ONLY=0
 CRASH_ONLY=0
 TRACE_ONLY=0
+RELEASE_ONLY=0
 if [ "${1:-}" = "--quick" ]; then
   QUICK=1
 elif [ "${1:-}" = "--chaos" ]; then
@@ -37,6 +40,8 @@ elif [ "${1:-}" = "--crash" ]; then
   CRASH_ONLY=1
 elif [ "${1:-}" = "--trace" ]; then
   TRACE_ONLY=1
+elif [ "${1:-}" = "--release" ]; then
+  RELEASE_ONLY=1
 fi
 
 JOBS="$(nproc)"
@@ -65,6 +70,15 @@ plain_leg() {
   cmake -B build -S . >/dev/null &&
     cmake --build build -j "${JOBS}" &&
     (cd build && ctest --output-on-failure -j "${JOBS}")
+}
+
+release_leg() {
+  # The optimizer-only warnings (GCC's -Wmaybe-uninitialized among them)
+  # appear at -O3, not in the default RelWithDebInfo build; -Werror keeps
+  # them fixed at the source.
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+    cmake --build build-release -j "${JOBS}" &&
+    (cd build-release && ctest --output-on-failure -j "${JOBS}")
 }
 
 asan_leg() {
@@ -178,6 +192,17 @@ if [ "${CRASH_ONLY}" = "1" ]; then
   exit 0
 fi
 
+if [ "${RELEASE_ONLY}" = "1" ]; then
+  run_leg "build+ctest (Release, -Werror)" release_leg
+  note "summary"
+  if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "FAILED legs: ${FAILED[*]}"
+    exit 1
+  fi
+  echo "all legs passed"
+  exit 0
+fi
+
 if [ "${TRACE_ONLY}" = "1" ]; then
   run_leg "trace (e2e + chrome export)" trace_leg
   note "summary"
@@ -193,6 +218,7 @@ run_leg "lint" lint_leg
 run_leg "build+ctest (plain, -Werror)" plain_leg
 
 if [ "${QUICK}" = "0" ]; then
+  run_leg "build+ctest (Release, -Werror)" release_leg
   run_leg "build+ctest (ASan+UBSan)" asan_leg
   run_leg "build+ctest (TSan, concurrency suites)" tsan_leg
   run_leg "chaos (fault suite, ASan, 3 seeds)" chaos_leg

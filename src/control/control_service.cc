@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 
 #include "common/logging.h"
 #include "common/retry.h"
@@ -22,6 +23,17 @@ namespace {
 // next boot skip reconciliation scans.
 constexpr char kControlMetaTable[] = "control_meta";
 constexpr char kLifecycleRowId[] = "lifecycle";
+
+constexpr JobState kAllJobStates[] = {
+    JobState::kScheduled, JobState::kRunning, JobState::kFinished,
+    JobState::kAborted, JobState::kFailed};
+
+// The jobs of one evaluation in one state; served by the
+// (evaluation_id, state) index.
+store::Filter JobFilter(const std::string& evaluation_id, JobState state) {
+  return {{"evaluation_id", evaluation_id},
+          {"state", model::JobStateName(state)}};
+}
 
 // Canonical per-attempt idempotency key for terminal reports.
 std::string AttemptKey(const std::string& job_id, int attempt) {
@@ -143,11 +155,8 @@ ControlService::ControlService(model::MetaDb* db, Clock* clock,
                                ControlServiceOptions options)
     : db_(db), clock_(clock), options_(options), sessions_(clock) {
   // Resume the event sequence past anything already persisted.
-  int64_t max_seq = 0;
-  for (const model::JobEvent& event : db_->job_events().All()) {
-    max_seq = std::max(max_seq, event.seq);
-  }
-  event_seq_.store(max_seq + 1);
+  event_seq_.store(
+      db_->table_store()->MaxInt(db_->job_events().table(), "seq") + 1);
 }
 
 // --- Users & sessions ---
@@ -444,12 +453,30 @@ StatusOr<EvaluationSummary> ControlService::Summarize(
     const std::string& evaluation_id) {
   EvaluationSummary summary;
   CHRONOS_ASSIGN_OR_RETURN(summary.evaluation, GetEvaluation(evaluation_id));
+  std::vector<store::Filter> by_state;
+  for (JobState state : kAllJobStates) {
+    by_state.push_back(JobFilter(evaluation_id, state));
+  }
+  // One snapshot for every state, so the counts add up to the evaluation's
+  // job count even while jobs change state.
+  std::vector<size_t> counts = db_->jobs().CountEach(by_state);
   int progress_sum = 0;
-  for (const Job& job : ListJobs(evaluation_id)) {
-    summary.state_counts[job.state]++;
-    ++summary.total_jobs;
-    progress_sum += job.state == JobState::kFinished ? 100
-                                                     : job.progress_percent;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    const JobState state = kAllJobStates[i];
+    const int count = static_cast<int>(counts[i]);
+    if (count == 0) continue;
+    summary.state_counts[state] = count;
+    summary.total_jobs += count;
+    // Finished jobs count as 100%. Scheduled ones are 0% by construction:
+    // CreateEvaluation, RescheduleJob and sanitize_scheduled all zero it.
+    // Only the rest carry a progress worth reading.
+    if (state == JobState::kFinished) {
+      progress_sum += 100 * count;
+    } else if (state != JobState::kScheduled) {
+      for (const Job& job : ListJobs(evaluation_id, state)) {
+        progress_sum += job.progress_percent;
+      }
+    }
   }
   summary.overall_progress_percent =
       summary.total_jobs == 0 ? 0 : progress_sum / summary.total_jobs;
@@ -462,18 +489,12 @@ StatusOr<Job> ControlService::GetJob(const std::string& job_id) {
 
 std::vector<Job> ControlService::ListJobs(
     const std::string& evaluation_id, std::optional<JobState> state) {
-  std::vector<Job> jobs =
-      db_->jobs().FindBy("evaluation_id", json::Json(evaluation_id));
+  // Both filters are served by the (evaluation_id, state) index, whose
+  // entries are in id order.
   if (state.has_value()) {
-    jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
-                              [&](const Job& job) {
-                                return job.state != *state;
-                              }),
-               jobs.end());
+    return db_->jobs().Find(JobFilter(evaluation_id, *state));
   }
-  std::sort(jobs.begin(), jobs.end(),
-            [](const Job& a, const Job& b) { return a.id < b.id; });
-  return jobs;
+  return db_->jobs().FindBy("evaluation_id", json::Json(evaluation_id));
 }
 
 Status ControlService::TransitionJob(
@@ -549,33 +570,33 @@ StatusOr<std::optional<Job>> ControlService::PollJob(
     return Status::FailedPrecondition("deployment is inactive");
   }
   // One job at a time per deployment.
-  auto running = db_->jobs().FindIf([&](const json::Json& row) {
-    return row.GetStringOr("state", "") == "running" &&
-           row.GetStringOr("deployment_id", "") == deployment_id;
-  });
-  if (!running.empty()) return std::optional<Job>();
+  const store::Filter running = {
+      {"deployment_id", deployment_id},
+      {"state", model::JobStateName(JobState::kRunning)}};
+  if (db_->jobs().Count(running) > 0) return std::optional<Job>();
 
-  // Oldest scheduled job for this system. Job ids embed the evaluation
-  // sequence, so sorting by (created_at, id) is deterministic.
-  std::vector<Job> candidates = db_->jobs().FindIf([&](const json::Json& row) {
-    return row.GetStringOr("state", "") == "scheduled" &&
-           row.GetStringOr("system_id", "") == deployment.system_id;
-  });
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Job& a, const Job& b) {
-              if (a.created_at != b.created_at) {
-                return a.created_at < b.created_at;
-              }
-              return a.id < b.id;
-            });
-
+  // Oldest scheduled job for this system: the (system_id, state) index
+  // yields candidates in (created_at, id) order, so a rescheduled job (which
+  // keeps its created_at) goes first and ties follow the evaluation
+  // sequence embedded in the id.
+  const store::Filter scheduled = {
+      {"system_id", deployment.system_id},
+      {"state", model::JobStateName(JobState::kScheduled)}};
   TimestampMs now = clock_->NowMs();
   // The claiming poll's trace id (the agent's cycle root, installed at HTTP
   // ingress) is stamped onto the job so GET /jobs/{id}/trace can find it.
   const std::string claim_trace_id = CurrentTraceIds().trace_id;
-  for (Job& candidate : candidates) {
+  // Candidates another claimer won (or aborted) under us; skipped on the
+  // next read of the index head.
+  std::set<std::string> lost;
+  for (;;) {
+    std::vector<Job> head = db_->jobs().Find(scheduled, lost.size() + 1);
+    auto candidate =
+        std::find_if(head.begin(), head.end(),
+                     [&](const Job& job) { return lost.count(job.id) == 0; });
+    if (candidate == head.end()) return std::optional<Job>();
     Status status = TransitionJob(
-        candidate.id, JobState::kRunning, [&](Job* job) {
+        candidate->id, JobState::kRunning, [&](Job* job) {
           job->deployment_id = deployment_id;
           job->started_at = now;
           job->last_heartbeat_at = now;
@@ -586,12 +607,11 @@ StatusOr<std::optional<Job>> ControlService::PollJob(
       // it. Recovery must re-run the job via the heartbeat timeout, not
       // lose it or hand it out twice.
       CHRONOS_RETURN_IF_ERROR(fault::Inject("control.claim.committed"));
-      span.SetAttribute("job_id", candidate.id);
-      return std::optional<Job>(*GetJob(candidate.id));
+      span.SetAttribute("job_id", candidate->id);
+      return std::optional<Job>(*GetJob(candidate->id));
     }
-    // Another agent won this job (or it was aborted); try the next.
+    lost.insert(candidate->id);
   }
-  return std::optional<Job>();
 }
 
 StatusOr<JobState> ControlService::ReportProgress(const std::string& job_id,
@@ -750,13 +770,8 @@ Status ControlService::FailJob(const std::string& job_id,
 
 std::vector<model::JobEvent> ControlService::JobEvents(
     const std::string& job_id) {
-  std::vector<model::JobEvent> events =
-      db_->job_events().FindBy("job_id", json::Json(job_id));
-  std::sort(events.begin(), events.end(),
-            [](const model::JobEvent& a, const model::JobEvent& b) {
-              return a.seq < b.seq;
-            });
-  return events;
+  // The job_events index orders each job's events by seq.
+  return db_->job_events().FindBy("job_id", json::Json(job_id));
 }
 
 std::string ControlService::JobLog(const std::string& job_id) {
@@ -784,10 +799,9 @@ int ControlService::CheckHeartbeats() {
   TimestampMs now = clock_->NowMs();
   TimestampMs cutoff = now - options_.heartbeat_timeout_ms;
   int failed = 0;
-  for (const Job& job : db_->jobs().FindIf([&](const json::Json& row) {
-         return row.GetStringOr("state", "") == "running" &&
-                row.GetIntOr("last_heartbeat_at", 0) < cutoff;
-       })) {
+  for (const Job& job : db_->jobs().Find(
+           {{"state", model::JobStateName(JobState::kRunning)}})) {
+    if (job.last_heartbeat_at >= cutoff) continue;
     Status status =
         FailJob(job.id, "heartbeat timeout (agent presumed dead)");
     if (status.ok()) ++failed;
@@ -822,9 +836,8 @@ ReconcileReport ControlService::ReconcileOnStartup() {
   // transition did not — complete it. Otherwise grant a grace lease: stamp
   // the heartbeat so the monitor gives the (possibly still alive) agent one
   // full timeout before failing and rescheduling through the attempt budget.
-  for (const Job& job : db_->jobs().FindIf([](const json::Json& row) {
-         return row.GetStringOr("state", "") == "running";
-       })) {
+  for (const Job& job : db_->jobs().Find(
+           {{"state", model::JobStateName(JobState::kRunning)}})) {
     const std::string key = AttemptKey(job.id, job.attempt);
     bool upload_landed = false;
     for (const model::Result& result :
@@ -862,13 +875,12 @@ ReconcileReport ControlService::ReconcileOnStartup() {
 
   // 2. Scheduled jobs carrying executor residue (a crash mid-reschedule or
   // a torn claim): scrub the fields a fresh scheduled job would not have.
-  for (const Job& job : db_->jobs().FindIf([](const json::Json& row) {
-         return row.GetStringOr("state", "") == "scheduled" &&
-                (!row.GetStringOr("deployment_id", "").empty() ||
-                 row.GetIntOr("progress_percent", 0) != 0 ||
-                 row.GetIntOr("started_at", 0) != 0 ||
-                 row.GetIntOr("last_heartbeat_at", 0) != 0);
-       })) {
+  for (const Job& job : db_->jobs().Find(
+           {{"state", model::JobStateName(JobState::kScheduled)}})) {
+    if (job.deployment_id.empty() && job.progress_percent == 0 &&
+        job.started_at == 0 && job.last_heartbeat_at == 0) {
+      continue;
+    }
     auto snapshot = db_->jobs().GetWithVersion(job.id);
     if (!snapshot.ok()) continue;
     auto [fresh, version] = *snapshot;
@@ -887,9 +899,7 @@ ReconcileReport ControlService::ReconcileOnStartup() {
   // carries no recoverable work (the experiment can simply be re-run), so
   // drop it rather than leave a forever-0% evaluation in every list view.
   for (const model::Evaluation& evaluation : db_->evaluations().All()) {
-    if (db_->jobs()
-            .FindBy("evaluation_id", json::Json(evaluation.id))
-            .empty()) {
+    if (db_->jobs().Count({{"evaluation_id", evaluation.id}}) == 0) {
       if (db_->evaluations().Delete(evaluation.id).ok()) {
         CountReconciliation(&report, "drop_empty_evaluation");
       }
@@ -898,16 +908,25 @@ ReconcileReport ControlService::ReconcileOnStartup() {
 
   // 4. Rows pointing at jobs that do not exist (defensive; jobs are never
   // deleted today, but a dangling reference must not survive a repair).
-  for (const model::Result& result : db_->results().All()) {
-    if (db_->jobs().Exists(result.job_id)) continue;
-    if (db_->results().Delete(result.id).ok()) {
-      CountReconciliation(&report, "drop_orphan_result");
+  // The job_id indexes list the referenced jobs; only orphans are read.
+  for (const json::Json& job_id :
+       store->DistinctValues(db_->results().table(), "job_id")) {
+    if (db_->jobs().Exists(job_id.as_string())) continue;
+    for (const model::Result& result :
+         db_->results().FindBy("job_id", job_id)) {
+      if (db_->results().Delete(result.id).ok()) {
+        CountReconciliation(&report, "drop_orphan_result");
+      }
     }
   }
-  for (const model::JobEvent& event : db_->job_events().All()) {
-    if (db_->jobs().Exists(event.job_id)) continue;
-    if (db_->job_events().Delete(event.id).ok()) {
-      CountReconciliation(&report, "drop_orphan_event");
+  for (const json::Json& job_id :
+       store->DistinctValues(db_->job_events().table(), "job_id")) {
+    if (db_->jobs().Exists(job_id.as_string())) continue;
+    for (const model::JobEvent& event :
+         db_->job_events().FindBy("job_id", job_id)) {
+      if (db_->job_events().Delete(event.id).ok()) {
+        CountReconciliation(&report, "drop_orphan_event");
+      }
     }
   }
 

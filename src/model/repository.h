@@ -1,6 +1,7 @@
 #ifndef CHRONOS_MODEL_REPOSITORY_H_
 #define CHRONOS_MODEL_REPOSITORY_H_
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -9,6 +10,11 @@
 #include "store/table_store.h"
 
 namespace chronos::model {
+
+// Counts a stored row that failed to convert to its entity in
+// chronos_store_bad_rows_total{table=...} and logs a WARN naming it.
+void ReportBadRow(const std::string& table, const json::Json& row,
+                  const Status& status);
 
 // Typed CRUD access to one entity table backed by the TableStore. T must
 // provide `std::string id`, `json::Json ToJson() const` and
@@ -51,34 +57,29 @@ class Repository {
     return store_->Exists(table_, id);
   }
 
-  std::vector<T> All() const {
-    std::vector<T> out;
-    for (const json::Json& row : store_->Scan(table_)) {
-      auto entity = T::FromJson(row);
-      if (entity.ok()) out.push_back(std::move(entity).value());
-    }
-    return out;
+  // Every entity of the table, in id order.
+  std::vector<T> All() const { return Convert(store_->Scan(table_)); }
+
+  // Entities matching `filter`, at most `limit`; TableStore::Find documents
+  // which filters an index serves and the order rows come back in.
+  std::vector<T> Find(
+      const store::Filter& filter,
+      size_t limit = std::numeric_limits<size_t>::max()) const {
+    return Convert(store_->Find(table_, filter, limit));
   }
 
   std::vector<T> FindBy(const std::string& field,
                         const json::Json& value) const {
-    std::vector<T> out;
-    for (const json::Json& row : store_->FindBy(table_, field, value)) {
-      auto entity = T::FromJson(row);
-      if (entity.ok()) out.push_back(std::move(entity).value());
-    }
-    return out;
+    return Find({{field, value}});
   }
 
-  // Entities whose raw row satisfies `pred`.
-  std::vector<T> FindIf(
-      const std::function<bool(const json::Json&)>& pred) const {
-    std::vector<T> out;
-    for (const json::Json& row : store_->FindIf(table_, pred)) {
-      auto entity = T::FromJson(row);
-      if (entity.ok()) out.push_back(std::move(entity).value());
-    }
-    return out;
+  size_t Count(const store::Filter& filter) const {
+    return store_->Count(table_, filter);
+  }
+
+  std::vector<size_t> CountEach(
+      const std::vector<store::Filter>& filters) const {
+    return store_->CountEach(table_, filters);
   }
 
   size_t Count() const { return store_->Count(table_); }
@@ -86,6 +87,22 @@ class Repository {
   const std::string& table() const { return table_; }
 
  private:
+  // Rows that fail FromJson are left out of the result, but never
+  // silently: each one is counted and logged (ReportBadRow).
+  std::vector<T> Convert(const std::vector<json::Json>& rows) const {
+    std::vector<T> out;
+    out.reserve(rows.size());
+    for (const json::Json& row : rows) {
+      auto entity = T::FromJson(row);
+      if (entity.ok()) {
+        out.push_back(std::move(entity).value());
+      } else {
+        ReportBadRow(table_, row, entity.status());
+      }
+    }
+    return out;
+  }
+
   store::TableStore* store_;
   std::string table_;
 };
@@ -94,9 +111,14 @@ class Repository {
 // MySQL-schema equivalent of the paper's Chronos Control database.
 class MetaDb {
  public:
-  // Opens (creating if needed) the metadata database in `dir`.
+  // Opens (creating if needed) the metadata database in `dir`, declaring
+  // Indexes() on its store.
   static StatusOr<std::unique_ptr<MetaDb>> Open(
       const std::string& dir, store::TableStoreOptions options = {});
+
+  // The schema's secondary indexes: the ones the control plane's claim and
+  // monitoring reads are served by.
+  static std::vector<store::IndexSpec> Indexes();
 
   Repository<User>& users() { return users_; }
   Repository<Project>& projects() { return projects_; }

@@ -1,6 +1,7 @@
 #include "store/table_store.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "common/file_util.h"
@@ -20,6 +21,54 @@ constexpr char kOpDelete[] = "delete";
 // snapshot covers, so replay can skip records already folded in.
 constexpr char kSnapshotMetaKey[] = "_meta";
 
+// Index keys concatenate one component per field: the value's JSON text
+// and a separator JSON text never contains raw (Dump escapes control
+// characters), so a key prefix is exactly a prefix of field values.
+// Integral doubles encode as ints, matching Json's cross-type ==.
+constexpr char kKeySeparator = '\x1f';
+
+void AppendKeyPart(const json::Json& value, std::string* key) {
+  double number = value.as_double();
+  if (value.is_double() && std::trunc(number) == number &&
+      std::fabs(number) < 9.0e18) {
+    key->append(json::Json(static_cast<int64_t>(number)).Dump());
+  } else {
+    key->append(value.Dump());
+  }
+  key->push_back(kKeySeparator);
+}
+
+std::string IndexKey(const IndexSpec& spec, const json::Json& row) {
+  std::string key;
+  for (const std::string& field : spec.fields) {
+    AppendKeyPart(row.at(field), &key);
+  }
+  return key;
+}
+
+bool RowMatches(const json::Json& row, const Filter& filter) {
+  for (const auto& [field, value] : filter) {
+    if (row.at(field) != value) return false;
+  }
+  return true;
+}
+
+// The buckets of `entries` whose keys start with `prefix`, in key order. A
+// key of every field matches only itself, since all of an index's keys have
+// the same number of components.
+template <typename Entries>
+std::vector<const Entries*> BucketsWithPrefix(
+    const std::map<std::string, Entries>& entries, const std::string& prefix) {
+  std::vector<const Entries*> buckets;
+  for (auto bucket = entries.lower_bound(prefix);
+       bucket != entries.end() &&
+       bucket->first.compare(0, prefix.size(), prefix) == 0;
+       ++bucket) {
+    buckets.push_back(&bucket->second);
+  }
+  return buckets;
+}
+
 json::Json MakeMutation(const char* op, const std::string& table,
                         const std::string& id) {
   json::Json m = json::Json::MakeObject();
@@ -31,8 +80,14 @@ json::Json MakeMutation(const char* op, const std::string& table,
 
 }  // namespace
 
-TableStore::TableStore(std::string dir, TableStoreOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+TableStore::TableStore(std::string dir, TableStoreOptions options,
+                       std::vector<IndexSpec> indexes)
+    : dir_(std::move(dir)), options_(options) {
+  for (IndexSpec& spec : indexes) {
+    std::string table = spec.table;
+    indexes_[table].push_back(Index{std::move(spec), {}});
+  }
+}
 
 TableStore::~TableStore() = default;
 
@@ -40,9 +95,11 @@ std::string TableStore::SnapshotPath() const { return dir_ + "/snapshot.json"; }
 std::string TableStore::WalPath() const { return dir_ + "/wal.log"; }
 
 StatusOr<std::unique_ptr<TableStore>> TableStore::Open(
-    const std::string& dir, TableStoreOptions options) {
+    const std::string& dir, TableStoreOptions options,
+    std::vector<IndexSpec> indexes) {
   CHRONOS_RETURN_IF_ERROR(file::MakeDirs(dir));
-  std::unique_ptr<TableStore> table_store(new TableStore(dir, options));
+  std::unique_ptr<TableStore> table_store(
+      new TableStore(dir, options, std::move(indexes)));
   CHRONOS_RETURN_IF_ERROR(table_store->Load());
   CHRONOS_ASSIGN_OR_RETURN(table_store->wal_, Wal::Open(table_store->WalPath()));
   {
@@ -69,18 +126,18 @@ Status TableStore::Load() {
     if (!snapshot.is_object()) {
       return Status::Corruption("snapshot is not an object");
     }
-    for (const auto& [table_name, rows] : snapshot.as_object()) {
+    for (auto& [table_name, rows] : snapshot.as_object_mutable()) {
       if (table_name == kSnapshotMetaKey) {
         covered_seq =
             static_cast<uint64_t>(rows.GetIntOr("wal_seq", 0));
         loaded_covered_seq_ = covered_seq;
         continue;
       }
-      Table table;
-      for (const auto& [id, row] : rows.as_object()) {
-        table[id] = row;
-      }
-      tables_[table_name] = std::move(table);
+      // Move, not copy: the parsed document and the tables would otherwise
+      // both be live at the boot's memory peak.
+      Table& table = tables_[table_name];
+      table = std::move(rows.as_object_mutable());
+      for (const auto& [id, row] : table) IndexRow(table_name, id, row, true);
     }
   }
   // 2. WAL replay over the snapshot. A crash between snapshot rename and WAL
@@ -97,31 +154,83 @@ Status TableStore::Load() {
       // A record passed its CRC but fails to parse: treat as corrupt tail.
       break;
     }
-    Apply(*mutation);
+    Apply(*std::move(mutation));
   }
   return Status::Ok();
 }
 
-Status TableStore::LogAndApply(const json::Json& mutation) {
+Status TableStore::LogAndApply(json::Json mutation) {
   // Fails the whole commit before the WAL sees it ("store.commit" covers
   // the durability boundary; "wal.append" the log write itself).
   CHRONOS_RETURN_IF_ERROR(fault::Inject("store.commit"));
   CHRONOS_RETURN_IF_ERROR(wal_->Append(mutation.Dump(), options_.sync_writes));
-  Apply(mutation);
+  Apply(std::move(mutation));
   return MaybeCheckpointLocked();
 }
 
-void TableStore::Apply(const json::Json& mutation) {
-  const std::string& op = mutation.at("op").as_string();
-  const std::string& table_name = mutation.at("table").as_string();
-  const std::string& id = mutation.at("id").as_string();
-  if (op == kOpDelete) {
-    auto it = tables_.find(table_name);
-    if (it != tables_.end()) it->second.erase(id);
+void TableStore::Apply(json::Json mutation) {
+  json::Object& fields = mutation.as_object_mutable();
+  const std::string& table_name = fields["table"].as_string();
+  const std::string& id = fields["id"].as_string();
+  if (fields["op"].as_string() == kOpDelete) {
+    auto table_it = tables_.find(table_name);
+    if (table_it != tables_.end()) {
+      auto row_it = table_it->second.find(id);
+      if (row_it != table_it->second.end()) {
+        IndexRow(table_name, id, row_it->second, false);
+        table_it->second.erase(row_it);
+      }
+    }
   } else {
-    tables_[table_name][id] = mutation.at("row");
+    auto [row_it, inserted] = tables_[table_name].try_emplace(id);
+    if (!inserted) IndexRow(table_name, id, row_it->second, false);
+    row_it->second = std::move(fields["row"]);
+    IndexRow(table_name, id, row_it->second, true);
   }
   ++applied_;
+}
+
+void TableStore::IndexRow(const std::string& table, const std::string& id,
+                          const json::Json& row, bool add) {
+  auto it = indexes_.find(table);
+  if (it == indexes_.end()) return;
+  for (Index& index : it->second) {
+    std::string key = IndexKey(index.spec, row);
+    Index::Entry entry(
+        index.spec.order_by.empty() ? 0
+                                    : row.GetIntOr(index.spec.order_by, 0),
+        id);
+    if (add) {
+      index.entries[std::move(key)].insert(std::move(entry));
+      continue;
+    }
+    auto bucket = index.entries.find(key);
+    if (bucket == index.entries.end()) continue;
+    bucket->second.erase(entry);
+    if (bucket->second.empty()) index.entries.erase(bucket);
+  }
+}
+
+const TableStore::Index* TableStore::ServingIndex(const std::string& table,
+                                                  const Filter& filter,
+                                                  std::string* prefix) const {
+  auto it = indexes_.find(table);
+  if (it == indexes_.end() || filter.empty()) return nullptr;
+  for (const Index& index : it->second) {
+    const std::vector<std::string>& fields = index.spec.fields;
+    if (filter.size() > fields.size()) continue;
+    prefix->clear();
+    bool served = true;
+    for (size_t i = 0; i < filter.size() && served; ++i) {
+      auto match = std::find_if(
+          filter.begin(), filter.end(),
+          [&](const auto& pair) { return pair.first == fields[i]; });
+      served = match != filter.end();
+      if (served) AppendKeyPart(match->second, prefix);
+    }
+    if (served) return &index;
+  }
+  return nullptr;
 }
 
 Status TableStore::MaybeCheckpointLocked() {
@@ -177,7 +286,7 @@ Status TableStore::Insert(const std::string& table, const std::string& id,
   row.Set("_version", static_cast<int64_t>(1));
   json::Json mutation = MakeMutation(kOpInsert, table, id);
   mutation.Set("row", std::move(row));
-  return LogAndApply(mutation);
+  return LogAndApply(std::move(mutation));
 }
 
 Status TableStore::Update(const std::string& table, const std::string& id,
@@ -202,7 +311,7 @@ Status TableStore::Update(const std::string& table, const std::string& id,
   row.Set("_version", current_version + 1);
   json::Json mutation = MakeMutation(kOpUpdate, table, id);
   mutation.Set("row", std::move(row));
-  return LogAndApply(mutation);
+  return LogAndApply(std::move(mutation));
 }
 
 Status TableStore::Upsert(const std::string& table, const std::string& id,
@@ -224,7 +333,7 @@ Status TableStore::Upsert(const std::string& table, const std::string& id,
   row.Set("_version", version + 1);
   json::Json mutation = MakeMutation(kOpUpdate, table, id);
   mutation.Set("row", std::move(row));
-  return LogAndApply(mutation);
+  return LogAndApply(std::move(mutation));
 }
 
 Status TableStore::Delete(const std::string& table, const std::string& id) {
@@ -267,26 +376,122 @@ std::vector<json::Json> TableStore::Scan(const std::string& table) const {
   return rows;
 }
 
-std::vector<json::Json> TableStore::FindBy(const std::string& table,
-                                           const std::string& field,
-                                           const json::Json& value) const {
-  return FindIf(table, [&](const json::Json& row) {
-    return row.at(field) == value;
-  });
-}
-
-std::vector<json::Json> TableStore::FindIf(
-    const std::string& table,
-    const std::function<bool(const json::Json&)>& pred) const {
+std::vector<json::Json> TableStore::Find(const std::string& table,
+                                         const Filter& filter,
+                                         size_t limit) const {
   MutexLock lock(mu_);
   std::vector<json::Json> rows;
   auto table_it = tables_.find(table);
-  if (table_it != tables_.end()) {
-    for (const auto& [id, row] : table_it->second) {
-      if (pred(row)) rows.push_back(row);
+  if (table_it == tables_.end()) return rows;
+  const Table& source = table_it->second;
+  std::string prefix;
+  const Index* index = ServingIndex(table, filter, &prefix);
+  if (index == nullptr) {
+    for (const auto& [id, row] : source) {
+      if (rows.size() >= limit) break;
+      if (RowMatches(row, filter)) rows.push_back(row);
     }
+    return rows;
+  }
+  std::vector<const Index::Entries*> buckets = BucketsWithPrefix(index->entries, prefix);
+  if (buckets.size() == 1) {
+    for (const auto& entry : *buckets[0]) {
+      if (rows.size() >= limit) break;
+      rows.push_back(source.at(entry.second));
+    }
+    return rows;
+  }
+  // A leading-field prefix spans several keys; merge their entries back
+  // into index order.
+  std::vector<const Index::Entry*> entries;
+  for (const Index::Entries* bucket : buckets) {
+    for (const Index::Entry& entry : *bucket) entries.push_back(&entry);
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return *a < *b; });
+  for (const Index::Entry* entry : entries) {
+    if (rows.size() >= limit) break;
+    rows.push_back(source.at(entry->second));
   }
   return rows;
+}
+
+std::vector<json::Json> TableStore::FindBy(const std::string& table,
+                                           const std::string& field,
+                                           const json::Json& value) const {
+  return Find(table, {{field, value}});
+}
+
+size_t TableStore::Count(const std::string& table,
+                         const Filter& filter) const {
+  return CountEach(table, {filter})[0];
+}
+
+std::vector<size_t> TableStore::CountEach(
+    const std::string& table, const std::vector<Filter>& filters) const {
+  MutexLock lock(mu_);
+  std::vector<size_t> counts(filters.size(), 0);
+  auto table_it = tables_.find(table);
+  if (table_it == tables_.end()) return counts;
+  for (size_t i = 0; i < filters.size(); ++i) {
+    std::string prefix;
+    const Index* index = ServingIndex(table, filters[i], &prefix);
+    if (index == nullptr) {
+      for (const auto& [id, row] : table_it->second) {
+        if (RowMatches(row, filters[i])) ++counts[i];
+      }
+      continue;
+    }
+    for (const Index::Entries* bucket :
+         BucketsWithPrefix(index->entries, prefix)) {
+      counts[i] += bucket->size();
+    }
+  }
+  return counts;
+}
+
+std::vector<json::Json> TableStore::DistinctValues(
+    const std::string& table, const std::string& field) const {
+  MutexLock lock(mu_);
+  std::vector<json::Json> values;
+  auto index_it = indexes_.find(table);
+  if (index_it != indexes_.end()) {
+    for (const Index& index : index_it->second) {
+      if (index.spec.fields.empty() || index.spec.fields[0] != field) {
+        continue;
+      }
+      std::string last;
+      for (const auto& [key, ids] : index.entries) {
+        std::string part = key.substr(0, key.find(kKeySeparator));
+        if (!values.empty() && part == last) continue;
+        auto value = json::Parse(part);
+        if (value.ok()) values.push_back(*std::move(value));
+        last = std::move(part);
+      }
+      return values;
+    }
+  }
+  auto table_it = tables_.find(table);
+  if (table_it == tables_.end()) return values;
+  for (const auto& [id, row] : table_it->second) {
+    const json::Json& value = row.at(field);
+    if (std::find(values.begin(), values.end(), value) == values.end()) {
+      values.push_back(value);
+    }
+  }
+  return values;
+}
+
+int64_t TableStore::MaxInt(const std::string& table,
+                           const std::string& field) const {
+  MutexLock lock(mu_);
+  int64_t max = 0;
+  auto table_it = tables_.find(table);
+  if (table_it == tables_.end()) return max;
+  for (const auto& [id, row] : table_it->second) {
+    max = std::max(max, row.GetIntOr(field, 0));
+  }
+  return max;
 }
 
 size_t TableStore::Count(const std::string& table) const {

@@ -1,11 +1,14 @@
 #ifndef CHRONOS_STORE_TABLE_STORE_H_
 #define CHRONOS_STORE_TABLE_STORE_H_
 
-#include <functional>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -25,6 +28,21 @@ struct TableStoreOptions {
   uint64_t checkpoint_wal_bytes = 16 * 1024 * 1024;
 };
 
+// A declared equality index over one table: rows keyed by the values of
+// `fields`. The ids under one key are ordered by the integer field
+// `order_by` (a row without it sorts as 0; empty = no order field), ties
+// broken by id. Indexes are schema, not data: nothing about them is
+// persisted, and Open() rebuilds them while it loads the snapshot and
+// replays the WAL.
+struct IndexSpec {
+  std::string table;
+  std::vector<std::string> fields;
+  std::string order_by;
+};
+
+// An equality filter: every (field, value) pair must match.
+using Filter = std::vector<std::pair<std::string, json::Json>>;
+
 // A row is a JSON object; every row has a string primary key ("id"). The
 // store additionally maintains an optimistic-concurrency version counter per
 // row (exposed as "_version") so multi-step updates can be made atomic.
@@ -35,6 +53,9 @@ struct TableStoreOptions {
 //   * Open() loads the snapshot (if any) and replays the WAL over it —
 //     crash at any point recovers the last committed mutation.
 //
+// Indexes (IndexSpec) are maintained inside Apply() under the same mutex as
+// the rows, so a reader never sees an index disagree with the table.
+//
 // Thread-safe: a single store-wide mutex serializes mutations (metadata
 // traffic is small; fairness beats parallelism here).
 class TableStore {
@@ -44,9 +65,11 @@ class TableStore {
   TableStore(const TableStore&) = delete;
   TableStore& operator=(const TableStore&) = delete;
 
-  // Opens (creating if needed) a store rooted at directory `dir`.
+  // Opens (creating if needed) a store rooted at directory `dir`, keeping
+  // the declared `indexes` in step with every mutation.
   static StatusOr<std::unique_ptr<TableStore>> Open(
-      const std::string& dir, TableStoreOptions options = {});
+      const std::string& dir, TableStoreOptions options = {},
+      std::vector<IndexSpec> indexes = {});
 
   // Inserts a row; fails with AlreadyExists if the id is taken. The stored
   // row gains "_version" = 1.
@@ -71,15 +94,38 @@ class TableStore {
   // All rows of a table, sorted by id.
   std::vector<json::Json> Scan(const std::string& table) const;
 
-  // Rows where row[field] == value (linear scan; metadata tables are small).
+  // Up to `limit` rows matching every pair of `filter`. A declared index
+  // serves the filter when its leading fields are exactly the filter's
+  // fields; only matching rows are then read, in index order (order_by,
+  // then id). Any other filter scans the whole table and returns rows in id
+  // order.
+  std::vector<json::Json> Find(
+      const std::string& table, const Filter& filter,
+      size_t limit = std::numeric_limits<size_t>::max()) const;
+
+  // Find(table, {{field, value}}).
   std::vector<json::Json> FindBy(const std::string& table,
                                  const std::string& field,
                                  const json::Json& value) const;
 
-  // Rows matching a predicate.
-  std::vector<json::Json> FindIf(
-      const std::string& table,
-      const std::function<bool(const json::Json&)>& pred) const;
+  // Number of rows matching `filter`; an index answers without reading
+  // rows.
+  size_t Count(const std::string& table, const Filter& filter) const;
+
+  // Count() of each filter, all taken under one lock: a consistent snapshot
+  // (a row changing state is never counted twice or missed).
+  std::vector<size_t> CountEach(const std::string& table,
+                                const std::vector<Filter>& filters) const;
+
+  // The distinct values `field` takes in `table`, in no particular order.
+  // Served from the keys of
+  // an index led by `field` when one is declared.
+  std::vector<json::Json> DistinctValues(const std::string& table,
+                                         const std::string& field) const;
+
+  // Largest integer `field` over the table's rows (0 if none), read in
+  // place without copying rows.
+  int64_t MaxInt(const std::string& table, const std::string& field) const;
 
   size_t Count(const std::string& table) const;
   std::vector<std::string> TableNames() const;
@@ -93,13 +139,32 @@ class TableStore {
   uint64_t applied_mutations() const;
 
  private:
-  TableStore(std::string dir, TableStoreOptions options);
+  TableStore(std::string dir, TableStoreOptions options,
+             std::vector<IndexSpec> indexes);
 
-  using Table = std::map<std::string, json::Json>;  // id -> row
+  // id -> row; the same type as json::Object, so a parsed snapshot's tables
+  // move in without copying a row.
+  using Table = std::map<std::string, json::Json>;
+
+  struct Index {
+    using Entry = std::pair<int64_t, std::string>;  // (order_by value, id)
+    using Entries = std::set<Entry>;
+    IndexSpec spec;
+    // Encoded key (see IndexKey in the .cc) -> its rows' entries.
+    std::map<std::string, Entries> entries;
+  };
+
+  // The index serving `filter` on `table`, or null; sets *prefix to the
+  // filter's values encoded in that index's field order.
+  const Index* ServingIndex(const std::string& table, const Filter& filter,
+                            std::string* prefix) const CHRONOS_REQUIRES(mu_);
+  // Adds (or removes) `row`'s entries in every index of `table`.
+  void IndexRow(const std::string& table, const std::string& id,
+                const json::Json& row, bool add) CHRONOS_REQUIRES(mu_);
 
   Status Load() CHRONOS_EXCLUDES(mu_);
-  Status LogAndApply(const json::Json& mutation) CHRONOS_REQUIRES(mu_);
-  void Apply(const json::Json& mutation) CHRONOS_REQUIRES(mu_);
+  Status LogAndApply(json::Json mutation) CHRONOS_REQUIRES(mu_);
+  void Apply(json::Json mutation) CHRONOS_REQUIRES(mu_);
   Status MaybeCheckpointLocked() CHRONOS_REQUIRES(mu_);
   Status CheckpointLocked() CHRONOS_REQUIRES(mu_);
   std::string SnapshotPath() const;
@@ -111,6 +176,9 @@ class TableStore {
 
   mutable Mutex mu_;
   std::unordered_map<std::string, Table> tables_ CHRONOS_GUARDED_BY(mu_);
+  // table -> its declared indexes.
+  std::unordered_map<std::string, std::vector<Index>> indexes_
+      CHRONOS_GUARDED_BY(mu_);
   uint64_t applied_ CHRONOS_GUARDED_BY(mu_) = 0;
   // Covered-sequence stamp read from the snapshot at Load() time. Open()
   // feeds it to the WAL as a sequence floor: after a checkpoint truncated

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <set>
+#include <thread>
+#include <tuple>
+
 #include "archive/zip.h"
 #include "common/file_util.h"
 #include "common/strings.h"
@@ -510,6 +516,165 @@ TEST_F(ControlServiceTest, DispatchIsFifoWithinSystem) {
   // First job's engine is the first sweep value.
   EXPECT_EQ((*first)->parameters.at("engine").as_string(), "wiredtiger");
   EXPECT_EQ((*second)->parameters.at("engine").as_string(), "mmapv1");
+}
+
+TEST_F(ControlServiceTest, PollOrderIsCreatedAtThenIdAcrossEvaluations) {
+  // An older evaluation of another system, which must never be handed out.
+  MakeDemoEvaluation();
+  const std::string other_system_id = system_id_;
+  // Several evaluations of one system: two share a creation time (so their
+  // jobs interleave by id across evaluations), one is newer.
+  MakeDemoEvaluation();
+  ASSERT_TRUE(service_->CreateEvaluation(experiment_id_, "twin").ok());
+  clock_.AdvanceMs(5);
+  ASSERT_TRUE(service_->CreateEvaluation(experiment_id_, "newer").ok());
+  model::Deployment deployment = AddDeployment(system_id_);
+
+  // The dispatch order the claim must keep: the oldest scheduled job of the
+  // deployment's system by (created_at, id), read from a full scan.
+  auto oldest_scheduled = [&]() -> std::string {
+    std::vector<model::Job> scheduled;
+    for (model::Job& job : db_->jobs().All()) {
+      if (job.state == JobState::kScheduled && job.system_id == system_id_) {
+        scheduled.push_back(std::move(job));
+      }
+    }
+    if (scheduled.empty()) return "";
+    return std::min_element(scheduled.begin(), scheduled.end(),
+                            [](const model::Job& a, const model::Job& b) {
+                              return std::tie(a.created_at, a.id) <
+                                     std::tie(b.created_at, b.id);
+                            })
+        ->id;
+  };
+  json::Json data = json::Json::MakeObject();
+  data.Set("throughput", 1.0);
+  int claims = 0;
+  bool rescheduled = false;
+  for (;;) {
+    const std::string expected = oldest_scheduled();
+    auto polled = service_->PollJob(deployment.id);
+    ASSERT_TRUE(polled.ok()) << polled.status();
+    if (!polled->has_value()) {
+      EXPECT_EQ(expected, "");
+      break;
+    }
+    const model::Job& job = **polled;
+    ASSERT_EQ(job.id, expected) << "claim " << claims;
+    EXPECT_NE(job.system_id, other_system_id);
+    ++claims;
+    if (claims == 3) {
+      // Fail the third claim: it is rescheduled with its old created_at, so
+      // the next poll must hand it out again ahead of younger jobs.
+      ASSERT_TRUE(service_->FailJob(job.id, "flaky").ok());
+      ASSERT_EQ(service_->GetJob(job.id)->state, JobState::kScheduled);
+      rescheduled = true;
+      continue;
+    }
+    ASSERT_TRUE(service_->UploadResult(job.id, data, "").ok());
+  }
+  EXPECT_TRUE(rescheduled);
+  EXPECT_EQ(claims, 3 * 4 + 1);
+}
+
+TEST_F(ControlServiceTest, ConcurrentClaimersNeverShareAJob) {
+  MakeDemoEvaluation({json::Json(1), json::Json(2), json::Json(4),
+                      json::Json(8)});
+  ASSERT_TRUE(service_->CreateEvaluation(experiment_id_, "more", 3).ok());
+  const size_t total = db_->jobs().Count();
+  ASSERT_EQ(total, 8u + 24u);
+  constexpr int kClaimers = 4;
+  std::vector<std::string> deployment_ids;
+  for (int i = 0; i < kClaimers; ++i) {
+    deployment_ids.push_back(
+        AddDeployment(system_id_, "dep-" + std::to_string(i)).id);
+  }
+  std::vector<std::vector<std::string>> claimed(kClaimers);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kClaimers; ++i) {
+    threads.emplace_back([&, i] {
+      json::Json data = json::Json::MakeObject();
+      data.Set("throughput", 1.0);
+      for (;;) {
+        auto polled = service_->PollJob(deployment_ids[i]);
+        ASSERT_TRUE(polled.ok()) << polled.status();
+        if (!polled->has_value()) return;
+        claimed[i].push_back((*polled)->id);
+        ASSERT_TRUE(service_->UploadResult((*polled)->id, data, "").ok());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::set<std::string> distinct;
+  size_t claims = 0;
+  for (const auto& ids : claimed) {
+    claims += ids.size();
+    distinct.insert(ids.begin(), ids.end());
+  }
+  EXPECT_EQ(claims, total);
+  EXPECT_EQ(distinct.size(), total);
+}
+
+TEST_F(ControlServiceTest, SummaryCountsStatesAndProgressFromTheIndex) {
+  model::Evaluation evaluation = MakeDemoEvaluation(
+      {json::Json(1), json::Json(2), json::Json(4)});  // 6 jobs.
+  model::Deployment dep_a = AddDeployment(system_id_, "a");
+  model::Deployment dep_b = AddDeployment(system_id_, "b");
+  auto finished = service_->PollJob(dep_a.id);
+  ASSERT_TRUE(finished->has_value());
+  ASSERT_TRUE(service_
+                  ->UploadResult((*finished)->id, json::Json::MakeObject(),
+                                 "")
+                  .ok());
+  auto running = service_->PollJob(dep_a.id);
+  ASSERT_TRUE(running->has_value());
+  ASSERT_TRUE(service_->ReportProgress((*running)->id, 40).ok());
+  auto aborted = service_->PollJob(dep_b.id);
+  ASSERT_TRUE(aborted->has_value());
+  ASSERT_TRUE(service_->ReportProgress((*aborted)->id, 30).ok());
+  ASSERT_TRUE(service_->AbortJob((*aborted)->id).ok());
+
+  auto summary = service_->Summarize(evaluation.id);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary->total_jobs, 6);
+  EXPECT_EQ(summary->state_counts[JobState::kScheduled], 3);
+  EXPECT_EQ(summary->state_counts[JobState::kRunning], 1);
+  EXPECT_EQ(summary->state_counts[JobState::kFinished], 1);
+  EXPECT_EQ(summary->state_counts[JobState::kAborted], 1);
+  EXPECT_EQ(summary->overall_progress_percent, (100 + 40 + 30) / 6);
+  EXPECT_EQ(service_->ListJobs(evaluation.id, JobState::kRunning).size(), 1u);
+  EXPECT_EQ(service_->ListJobs(evaluation.id).size(), 6u);
+}
+
+TEST_F(ControlServiceTest, SummaryCountsStayConsistentWhileJobsMove) {
+  // Jobs cycle scheduled -> running -> failed -> scheduled on another thread
+  // while summaries are read: every summary must still count each job once.
+  options_.max_attempts = 1000;
+  service_ = std::make_unique<ControlService>(db_.get(), &clock_, options_);
+  model::Evaluation evaluation = MakeDemoEvaluation(
+      {json::Json(1), json::Json(2), json::Json(4), json::Json(8)});
+  model::Deployment deployment = AddDeployment(system_id_);
+  std::atomic<bool> done{false};
+  std::thread mover([&] {
+    for (int i = 0; i < 150; ++i) {
+      auto job = service_->PollJob(deployment.id);
+      if (!job.ok() || !job->has_value()) break;
+      service_->FailJob((*job)->id, "cycle").IgnoreError();
+    }
+    done.store(true);
+  });
+  int summaries = 0;
+  while (!done.load()) {
+    auto summary = service_->Summarize(evaluation.id);
+    ASSERT_TRUE(summary.ok());
+    int counted = 0;
+    for (const auto& [state, count] : summary->state_counts) counted += count;
+    EXPECT_EQ(summary->total_jobs, 8);
+    EXPECT_EQ(counted, 8);
+    ++summaries;
+  }
+  mover.join();
+  EXPECT_GT(summaries, 0);
 }
 
 TEST_F(ControlServiceTest, PollUnknownDeploymentFails) {

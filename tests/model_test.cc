@@ -6,6 +6,7 @@
 #include "model/job_state.h"
 #include "model/parameter_space.h"
 #include "model/repository.h"
+#include "obs/metrics_registry.h"
 
 namespace chronos::model {
 namespace {
@@ -455,6 +456,28 @@ TEST(MetaDbTest, FindByForeignKey) {
   }
   auto jobs = (*db)->jobs().FindBy("evaluation_id", json::Json("eval-a"));
   EXPECT_EQ(jobs.size(), 2u);
+}
+
+TEST(MetaDbTest, BadRowsAreCountedNotSilentlySkipped) {
+  TempDir dir;
+  auto db = MetaDb::Open(dir.path());
+  ASSERT_TRUE(db.ok());
+  obs::Counter* bad_rows = obs::MetricsRegistry::Get()->GetCounter(
+      "chronos_store_bad_rows_total", "", {{"table", "jobs"}});
+  const uint64_t before = bad_rows->value();
+  Job good;
+  good.id = "job-good";
+  good.evaluation_id = "eval-a";
+  ASSERT_TRUE((*db)->jobs().Insert(good).ok());
+  // A row no Job can be built from (no evaluation_id, no state).
+  json::Json bad = json::Json::MakeObject();
+  bad.Set("system_id", "s");
+  ASSERT_TRUE((*db)->table_store()->Insert("jobs", "job-bad", bad).ok());
+
+  EXPECT_EQ((*db)->jobs().All().size(), 1u);
+  EXPECT_EQ(bad_rows->value(), before + 1);
+  EXPECT_EQ((*db)->jobs().FindBy("system_id", json::Json("s")).size(), 0u);
+  EXPECT_EQ(bad_rows->value(), before + 2);
 }
 
 TEST(MetaDbTest, PersistsAcrossReopen) {

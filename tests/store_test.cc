@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "common/file_util.h"
 #include "common/random.h"
 #include "fault/failpoint.h"
+#include "model/repository.h"
 #include "store/table_store.h"
 #include "store/wal.h"
 
@@ -570,6 +574,190 @@ TEST_P(StoreRecoveryPropertyTest, RecoveryIsLossless) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StoreRecoveryPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- Declared indexes ---
+
+// The oracle: rows of a full scan that match `filter`, in the order the
+// serving index promises (order_by, then id; Scan is already in id order).
+std::vector<json::Json> ScanMatching(const TableStore& ts,
+                                     const std::string& table,
+                                     const Filter& filter,
+                                     const std::string& order_by) {
+  std::vector<json::Json> rows;
+  for (json::Json& row : ts.Scan(table)) {
+    bool match = true;
+    for (const auto& [field, value] : filter) {
+      match = match && row.at(field) == value;
+    }
+    if (match) rows.push_back(std::move(row));
+  }
+  if (!order_by.empty()) {
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const json::Json& a, const json::Json& b) {
+                       return a.GetIntOr(order_by, 0) <
+                              b.GetIntOr(order_by, 0);
+                     });
+  }
+  return rows;
+}
+
+// Small value domains so keys collide and buckets empty out often.
+const std::map<std::string, std::vector<json::Json>>& FieldDomains() {
+  static const auto* domains =
+      new std::map<std::string, std::vector<json::Json>>{
+          {"system_id", {"s0", "s1"}},
+          {"deployment_id", {"", "d0", "d1"}},
+          {"evaluation_id", {"e0", "e1", "e2"}},
+          {"state",
+           {"scheduled", "running", "finished", "aborted", "failed"}},
+          {"job_id", {"j0", "j1", "j2", "j3", "j4"}},
+      };
+  return *domains;
+}
+
+json::Json RandomIndexedRow(Rng* rng) {
+  json::Json row = json::Json::MakeObject();
+  for (const auto& [field, values] : FieldDomains()) {
+    row.Set(field, values[rng->NextUint64(values.size())]);
+  }
+  // Few distinct order values, so (order_by, id) ties are exercised.
+  row.Set("created_at", static_cast<int64_t>(rng->NextUint64(4)));
+  row.Set("seq", static_cast<int64_t>(rng->NextUint64(100)));
+  return row;
+}
+
+// Every filter an index can serve: each full key over the field domains
+// and each leading-field prefix of it.
+std::vector<Filter> ServableFilters(const IndexSpec& spec) {
+  std::vector<Filter> filters = {{}};
+  std::vector<Filter> all;
+  for (const std::string& field : spec.fields) {
+    std::vector<Filter> longer;
+    for (const Filter& filter : filters) {
+      for (const json::Json& value : FieldDomains().at(field)) {
+        Filter next = filter;
+        next.emplace_back(field, value);
+        longer.push_back(next);
+      }
+    }
+    filters = std::move(longer);
+    all.insert(all.end(), filters.begin(), filters.end());
+  }
+  return all;
+}
+
+void ExpectIndexesMatchScans(const TableStore& ts) {
+  for (const IndexSpec& spec : model::MetaDb::Indexes()) {
+    for (const Filter& filter : ServableFilters(spec)) {
+      std::vector<json::Json> expected =
+          ScanMatching(ts, spec.table, filter, spec.order_by);
+      std::string where = spec.table + " " + filter.front().second.Dump() +
+                          " (" + std::to_string(filter.size()) + " fields)";
+      ASSERT_EQ(ts.Find(spec.table, filter), expected) << where;
+      EXPECT_EQ(ts.Count(spec.table, filter), expected.size()) << where;
+      std::vector<json::Json> head(
+          expected.begin(),
+          expected.begin() + std::min<size_t>(2, expected.size()));
+      EXPECT_EQ(ts.Find(spec.table, filter, 2), head) << where;
+    }
+    std::vector<json::Json> distinct =
+        ts.DistinctValues(spec.table, spec.fields[0]);
+    std::set<std::string> got;
+    for (const json::Json& value : distinct) got.insert(value.Dump());
+    std::set<std::string> want;
+    for (const json::Json& row : ts.Scan(spec.table)) {
+      want.insert(row.at(spec.fields[0]).Dump());
+    }
+    EXPECT_EQ(got, want) << spec.table << "." << spec.fields[0];
+    EXPECT_EQ(got.size(), distinct.size()) << "duplicates in DistinctValues";
+  }
+}
+
+// Property: for every index the metadata schema declares, indexed lookups
+// (full keys, leading-field prefixes, limits, counts, distinct values)
+// equal a full scan with the same filter, after every step of a seeded
+// insert/update/upsert/delete stream, after WAL replay and after a
+// checkpoint + reopen.
+class StoreIndexPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(StoreIndexPropertyTest, IndexedLookupsEqualFullScans) {
+  TempDir dir;
+  Rng rng(GetParam() * 7919);
+  const std::vector<std::string> tables = {"jobs", "results", "job_events"};
+  auto open = [&] {
+    auto ts = TableStore::Open(dir.path(), {}, model::MetaDb::Indexes());
+    EXPECT_TRUE(ts.ok()) << ts.status();
+    return std::move(ts).value();
+  };
+  std::unique_ptr<TableStore> ts = open();
+  for (int step = 0; step < 150; ++step) {
+    const std::string& table = tables[rng.NextUint64(tables.size())];
+    std::string id = "r" + std::to_string(rng.NextUint64(12));
+    bool exists = ts->Exists(table, id);
+    switch (rng.NextUint64(4)) {
+      case 0:
+        EXPECT_EQ(ts->Insert(table, id, RandomIndexedRow(&rng)).ok(),
+                  !exists);
+        break;
+      case 1:
+        EXPECT_EQ(ts->Update(table, id, RandomIndexedRow(&rng)).ok(), exists);
+        break;
+      case 2:
+        ASSERT_TRUE(ts->Upsert(table, id, RandomIndexedRow(&rng)).ok());
+        break;
+      default:
+        EXPECT_EQ(ts->Delete(table, id).ok(), exists);
+        break;
+    }
+    ExpectIndexesMatchScans(*ts);
+    if (HasFatalFailure()) return;
+  }
+  ts.reset();
+  ts = open();  // WAL replay.
+  ExpectIndexesMatchScans(*ts);
+  ASSERT_TRUE(ts->Checkpoint().ok());
+  ts.reset();
+  ts = open();  // Snapshot load, empty WAL.
+  ExpectIndexesMatchScans(*ts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreIndexPropertyTest,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(TableStoreIndexTest, IntegralDoubleMatchesIntLikeAScan) {
+  TempDir dir;
+  auto ts = TableStore::Open(dir.path(), {}, {{"t", {"value"}, ""}});
+  ASSERT_TRUE(ts.ok());
+  ASSERT_TRUE((*ts)->Insert("t", "a", Row("a", 5)).ok());
+  json::Json as_double = Row("b");
+  as_double.Set("value", 5.0);
+  ASSERT_TRUE((*ts)->Insert("t", "b", as_double).ok());
+  EXPECT_EQ((*ts)->FindBy("t", "value", json::Json(5)).size(), 2u);
+  EXPECT_EQ((*ts)->Count("t", {{"value", 5.0}}), 2u);
+}
+
+TEST(TableStoreIndexTest, UnindexedFilterScansInIdOrder) {
+  TempDir dir;
+  auto ts = TableStore::Open(dir.path(), {}, {{"t", {"name"}, "value"}});
+  ASSERT_TRUE(ts.ok());
+  ASSERT_TRUE((*ts)->Insert("t", "2", Row("x", 1)).ok());
+  ASSERT_TRUE((*ts)->Insert("t", "1", Row("x", 9)).ok());
+  ASSERT_TRUE((*ts)->Insert("t", "3", Row("y", 1)).ok());
+  // Served by the index: (value, id) order.
+  auto by_name = (*ts)->Find("t", {{"name", "x"}});
+  ASSERT_EQ(by_name.size(), 2u);
+  EXPECT_EQ(by_name[0].at("id").as_string(), "2");
+  // No index on "value": a scan, in id order.
+  auto by_value = (*ts)->Find("t", {{"value", 1}});
+  ASSERT_EQ(by_value.size(), 2u);
+  EXPECT_EQ(by_value[0].at("id").as_string(), "2");
+  EXPECT_EQ(by_value[1].at("id").as_string(), "3");
+  // Distinct values from the index's keys, and from a scan without one.
+  EXPECT_EQ((*ts)->DistinctValues("t", "name").size(), 2u);
+  EXPECT_EQ((*ts)->DistinctValues("t", "value").size(), 2u);
+  EXPECT_EQ((*ts)->MaxInt("t", "value"), 9);
+  EXPECT_EQ((*ts)->MaxInt("missing", "value"), 0);
+}
 
 // --- Concurrency ---
 
