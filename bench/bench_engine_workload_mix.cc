@@ -27,7 +27,7 @@ int main() {
   const char* engines[] = {"wiredtiger", "mmapv1"};
 
   mokka::Database database;
-  auto wire = mokka::WireServer::Start(&database, 0);
+  auto wire = mokka::StartWireServer(&database, 0);
   if (!wire.ok()) return 1;
 
   analysis::DiagramData diagram;

@@ -18,7 +18,7 @@ int main() {
       "E11", "p95 update latency (us) vs offered load (50/50 mix, 4 threads)");
 
   mokka::Database database;
-  auto wire = mokka::WireServer::Start(&database, 0);
+  auto wire = mokka::StartWireServer(&database, 0);
   if (!wire.ok()) return 1;
 
   const double kLoads[] = {200, 600, 1200, 2400};  // Aggregate ops/s.

@@ -100,7 +100,7 @@ class Toolkit {
   void StartMokkaDeployments(int n) {
     for (int i = 0; i < n; ++i) {
       databases_.push_back(std::make_unique<mokka::Database>());
-      auto wire = mokka::WireServer::Start(databases_.back().get(), 0);
+      auto wire = mokka::StartWireServer(databases_.back().get(), 0);
       model::Deployment deployment;
       deployment.system_id = system_id_;
       deployment.name = "mokka-" + std::to_string(i);
@@ -185,7 +185,7 @@ class Toolkit {
   std::unique_ptr<control::ControlServer> server_;
   std::string admin_id_, system_id_;
   std::vector<std::unique_ptr<mokka::Database>> databases_;
-  std::vector<std::unique_ptr<mokka::WireServer>> wires_;
+  std::vector<std::unique_ptr<net::ConnectionServer>> wires_;
   std::vector<std::unique_ptr<agent::ChronosAgent>> agents_;
   std::vector<std::string> deployment_ids_;
   std::vector<std::string> endpoints_;

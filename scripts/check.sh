@@ -94,7 +94,7 @@ tsan_leg() {
                mokkadb_test obs_test common_test agent_test \
                fault_injection_test &&
     (cd build-tsan && ctest --output-on-failure -j "${JOBS}" \
-       -R 'Concurrency|Control|Store|Net|Mokka|Wire|Obs|Metrics|Thread|Latch|Queue|Logger|Mutex|CondVar|Agent|Wal|Table|Heartbeat|Engine|FaultInjection|Span|Trace')
+       -R 'Concurrency|Control|Store|Net|ConnectionServer|HttpServer|Ftp|Mokka|Wire|Obs|Metrics|Thread|Latch|Queue|Logger|Mutex|CondVar|Agent|Wal|Table|Heartbeat|Engine|FaultInjection|Span|Trace')
 }
 
 chaos_leg() {

@@ -32,6 +32,12 @@ Rules (each can be suppressed on a line with `// chronos-lint: allow`):
                    implementation itself, CondVar deadline arithmetic in
                    mutex.h/threading.h/heartbeat_monitor.cc, and uuid.cc's
                    seed.
+  raw-accept       No TcpListener::Accept calls in src/ outside the
+                   connection-serving core (net/connection_server.cc) and
+                   FTP's passive data channel (net/ftp.cc): servers are
+                   built on net::ConnectionServer, so a new protocol gets
+                   its bounded Stop(), connection cap and accept-error
+                   handling without growing another accept loop.
 
 Usage:
   scripts/chronos_lint.py [--root DIR] [paths...]   lint tree or given files
@@ -182,6 +188,26 @@ def check_raw_steady_clock(path, rel, lines, errors):
                  "raw steady_clock::now() timing; wrap the region in an "
                  "obs::Span (src/obs/span.h) or read an injected Clock*'s "
                  "MonotonicNanos so durations are traced and testable"))
+
+
+# --- Rule: raw-accept ------------------------------------------------------
+
+RAW_ACCEPT_RE = re.compile(r"(->|\.)\s*Accept\s*\(")
+RAW_ACCEPT_EXEMPT = ("src/net/connection_server.cc", "src/net/ftp.cc")
+
+
+def check_raw_accept(path, rel, lines, errors):
+    if rel in RAW_ACCEPT_EXEMPT:
+        return
+    for i, line in enumerate(lines, 1):
+        if SUPPRESS in line:
+            continue
+        if RAW_ACCEPT_RE.search(strip_comment(line)):
+            errors.append(
+                (rel, i, "raw-accept",
+                 "raw TcpListener::Accept; serve connections through "
+                 "net::ConnectionServer (src/net/connection_server.h), the "
+                 "one accept loop"))
 
 
 # --- Rule: raw-exit --------------------------------------------------------
@@ -423,6 +449,7 @@ def lint_file(root, path, status_functions):
         check_raw_sleep(path, rel, lines, errors)
         check_raw_steady_clock(path, rel, lines, errors)
         check_raw_exit(path, rel, lines, errors)
+        check_raw_accept(path, rel, lines, errors)
     check_locked_io(path, rel, lines, errors)
     check_include_guard(path, rel, lines, errors)
     check_dropped_status(path, rel, lines, errors, status_functions)
@@ -532,6 +559,18 @@ void Die() {
 }  // namespace chronos
 """
 
+BAD_RAW_ACCEPT = """\
+#include "net/tcp.h"
+namespace chronos {
+void Loop(net::TcpListener* listener) {
+  while (true) {
+    auto conn = listener->Accept();
+    if (!conn.ok()) break;
+  }
+}
+}  // namespace chronos
+"""
+
 GOOD = """\
 #ifndef CHRONOS_X_GOOD_H_
 #define CHRONOS_X_GOOD_H_
@@ -572,6 +611,9 @@ def self_test():
         ("src/x/timing.cc", BAD_STEADY_CLOCK, "raw-steady-clock"),
         # The clock implementation itself may read the raw tick source.
         ("src/common/clock.cc", BAD_STEADY_CLOCK, None),
+        ("src/x/server.cc", BAD_RAW_ACCEPT, "raw-accept"),
+        # The connection-serving core is the one sanctioned accept loop.
+        ("src/net/connection_server.cc", BAD_RAW_ACCEPT, None),
         ("src/x/good.h", GOOD, None),
     ]
     failures = 0

@@ -2,19 +2,12 @@
 
 namespace chronos::clients {
 
-LocalMokkaProvisioner::~LocalMokkaProvisioner() {
-  MutexLock lock(mu_);
-  for (auto& [handle, running] : running_) {
-    running.server->Stop();
-  }
-}
-
 StatusOr<control::DeploymentProvisioner::Instance>
 LocalMokkaProvisioner::Launch(const json::Json& spec) {
   std::string engine = spec.GetStringOr("default_engine", "btree");
   auto database = std::make_unique<mokka::Database>(engine);
-  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<mokka::WireServer> server,
-                           mokka::WireServer::Start(database.get(), 0));
+  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<net::ConnectionServer> server,
+                           mokka::StartWireServer(database.get(), 0));
   Instance instance;
   instance.endpoint = server->endpoint();
   MutexLock lock(mu_);
@@ -30,8 +23,7 @@ Status LocalMokkaProvisioner::Terminate(const std::string& handle) {
   if (it == running_.end()) {
     return Status::NotFound("no running instance: " + handle);
   }
-  it->second.server->Stop();
-  running_.erase(it);
+  running_.erase(it);  // Stops the server, then closes the database.
   return Status::Ok();
 }
 

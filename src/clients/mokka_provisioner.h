@@ -17,7 +17,6 @@ namespace chronos::clients {
 class LocalMokkaProvisioner : public control::DeploymentProvisioner {
  public:
   LocalMokkaProvisioner() = default;
-  ~LocalMokkaProvisioner() override;
 
   std::string_view name() const override { return "local-mokka"; }
 
@@ -29,7 +28,8 @@ class LocalMokkaProvisioner : public control::DeploymentProvisioner {
  private:
   struct Running {
     std::unique_ptr<mokka::Database> database;
-    std::unique_ptr<mokka::WireServer> server;
+    // Declared last: destroyed (stopped) before the database it serves.
+    std::unique_ptr<net::ConnectionServer> server;
   };
 
   mutable Mutex mu_;

@@ -118,6 +118,13 @@ void MountVersion(net::Router* router, ControlService* service,
     spans.Set("active_traces",
               static_cast<int64_t>(collector->active_traces()));
     body.Set("spans", std::move(spans));
+    // Health of the HTTP server(s) in this process; Control runs one.
+    net::ConnectionStats stats = net::ConnectionServer::StatsFor("http");
+    json::Json connections = json::Json::MakeObject();
+    connections.Set("live", stats.live);
+    connections.Set("shed", stats.shed);
+    connections.Set("accept_errors", stats.accept_errors);
+    body.Set("connections", std::move(connections));
     return HttpResponse::Json(body);
   });
 
@@ -836,7 +843,7 @@ StatusOr<std::unique_ptr<ControlServer>> ControlServer::Start(
   net::Router* router = server->router_.get();
   CHRONOS_ASSIGN_OR_RETURN(
       server->http_,
-      net::HttpServer::Start(port, [router](const HttpRequest& request) {
+      net::StartHttpServer(port, [router](const HttpRequest& request) {
         return router->Dispatch(request);
       }));
   server->monitor_->Start();

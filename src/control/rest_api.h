@@ -65,7 +65,7 @@ class ControlServer {
   ControlServer(ControlService* service);
 
   std::unique_ptr<net::Router> router_;
-  std::unique_ptr<net::HttpServer> http_;
+  std::unique_ptr<net::ConnectionServer> http_;
   std::unique_ptr<HeartbeatMonitor> monitor_;
 };
 

@@ -6,6 +6,11 @@ namespace chronos::net {
 
 namespace {
 
+constexpr int kReadTimeoutMs = 30000;
+// FtpClient connects to the data port before it sends STOR/RETR/LIST, so
+// the connection is normally already queued when the server accepts.
+constexpr int kDataAcceptTimeoutMs = 2000;
+
 // Formats a PASV reply "227 Entering Passive Mode (h1,h2,h3,h4,p1,p2)".
 std::string PasvReply(int port) {
   return "227 Entering Passive Mode (127,0,0,1," + std::to_string(port / 256) +
@@ -34,36 +39,21 @@ StatusOr<int> ParsePasvReply(const std::string& text) {
 
 }  // namespace
 
-FtpServer::FtpServer(std::unique_ptr<TcpListener> listener,
-                     std::string username, std::string password)
-    : listener_(std::move(listener)),
-      username_(std::move(username)),
-      password_(std::move(password)) {
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-}
-
-FtpServer::~FtpServer() { Stop(); }
+FtpServer::FtpServer(std::string username, std::string password)
+    : username_(std::move(username)), password_(std::move(password)) {}
 
 StatusOr<std::unique_ptr<FtpServer>> FtpServer::Start(int port,
                                                       std::string username,
                                                       std::string password) {
-  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<TcpListener> listener,
-                           TcpListener::Listen(port));
-  return std::unique_ptr<FtpServer>(new FtpServer(
-      std::move(listener), std::move(username), std::move(password)));
-}
-
-void FtpServer::Stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  listener_->Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  for (std::thread& session : sessions_) {
-    if (session.joinable()) session.join();
-  }
+  std::unique_ptr<FtpServer> server(
+      new FtpServer(std::move(username), std::move(password)));
+  FtpServer* raw = server.get();
+  CHRONOS_ASSIGN_OR_RETURN(
+      server->server_,
+      ConnectionServer::Start(port, "ftp", [raw](TcpConnection* conn) {
+        raw->ServeControl(conn);
+      }));
+  return server;
 }
 
 std::map<std::string, std::string> FtpServer::Files() const {
@@ -83,28 +73,15 @@ size_t FtpServer::file_count() const {
   return files_.size();
 }
 
-void FtpServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto conn = listener_->Accept();
-    if (!conn.ok()) break;
-    std::shared_ptr<TcpConnection> shared(conn.value().release());
-    sessions_.emplace_back([this, shared]() mutable {
-      std::unique_ptr<TcpConnection> owned(
-          new TcpConnection(std::move(*shared)));
-      ServeControl(std::move(owned));
-    });
-  }
-}
-
-void FtpServer::ServeControl(std::unique_ptr<TcpConnection> conn) {
-  conn->SetReadTimeoutMs(30000).IgnoreError();
+void FtpServer::ServeControl(TcpConnection* conn) {
+  conn->SetReadTimeoutMs(kReadTimeoutMs).IgnoreError();
   if (!conn->WriteAll("220 chronos-ftp ready\r\n").ok()) return;
 
   bool have_user = false;
   bool authenticated = false;
   std::unique_ptr<TcpListener> data_listener;
 
-  while (!stopping_.load()) {
+  while (true) {
     auto line_or = conn->ReadLine(8192);
     if (!line_or.ok() || line_or->empty()) return;
     std::string line(strings::Trim(*line_or));
@@ -155,12 +132,15 @@ void FtpServer::ServeControl(std::unique_ptr<TcpConnection> conn) {
         }
       }
       conn->WriteAll("150 opening data connection\r\n").IgnoreError();
-      auto data = data_listener->Accept();
+      // Bounded: a peer that never opens the data connection must not hold
+      // this session (and Stop()) forever.
+      auto data = data_listener->Accept(kDataAcceptTimeoutMs);
       data_listener.reset();
       if (!data.ok()) {
         conn->WriteAll("425 data connection failed\r\n").IgnoreError();
         continue;
       }
+      (*data)->SetReadTimeoutMs(kReadTimeoutMs).IgnoreError();
       if (command == "STOR") {
         std::string contents;
         while (true) {

@@ -1,17 +1,16 @@
 #ifndef CHRONOS_NET_FTP_H_
 #define CHRONOS_NET_FTP_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "common/thread_annotations.h"
+#include "net/connection_server.h"
 #include "net/tcp.h"
 
 namespace chronos::net {
@@ -21,12 +20,10 @@ namespace chronos::net {
 // server or NAS for storing the results" upload path from the paper; result
 // bundles can be shipped here instead of to Chronos Control over HTTP.
 
-// In-memory FTP server for result storage. Each worker thread owns one
-// control connection.
+// In-memory FTP server for result storage, one thread per control
+// connection (see ConnectionServer). Metrics carry the label server="ftp".
 class FtpServer {
  public:
-  ~FtpServer();
-
   FtpServer(const FtpServer&) = delete;
   FtpServer& operator=(const FtpServer&) = delete;
 
@@ -36,33 +33,27 @@ class FtpServer {
                                                     std::string username,
                                                     std::string password);
 
-  int port() const { return listener_->port(); }
+  int port() const { return server_->port(); }
 
   // Files stored so far (name -> contents).
   std::map<std::string, std::string> Files() const;
   StatusOr<std::string> GetFile(const std::string& name) const;
   size_t file_count() const;
 
-  void Stop();
+  void Stop() { server_->Stop(); }
 
  private:
-  FtpServer(std::unique_ptr<TcpListener> listener, std::string username,
-            std::string password);
+  FtpServer(std::string username, std::string password);
 
-  void AcceptLoop();
-  void ServeControl(std::unique_ptr<TcpConnection> conn);
+  void ServeControl(TcpConnection* conn);
 
-  std::unique_ptr<TcpListener> listener_;
   std::string username_;
   std::string password_;
 
   mutable Mutex mu_;
   std::map<std::string, std::string> files_ CHRONOS_GUARDED_BY(mu_);
-  // Written only by the accept thread; Stop() reads it after joining that
-  // thread, so no lock is needed.
-  std::vector<std::thread> sessions_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
+  // Last, so it is destroyed (stopped, sessions joined) first.
+  std::unique_ptr<ConnectionServer> server_;
 };
 
 // Blocking FTP client (passive mode only).

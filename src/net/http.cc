@@ -233,54 +233,13 @@ StatusOr<HttpResponse> ReadResponse(TcpConnection* conn, size_t max_body) {
   return response;
 }
 
-HttpServer::HttpServer(std::unique_ptr<TcpListener> listener,
-                       HttpHandler handler, int num_workers)
-    : listener_(std::move(listener)),
-      handler_(std::move(handler)),
-      workers_(std::make_unique<ThreadPool>(num_workers)) {
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-}
+namespace {
 
-HttpServer::~HttpServer() { Stop(); }
-
-StatusOr<std::unique_ptr<HttpServer>> HttpServer::Start(int port,
-                                                        HttpHandler handler,
-                                                        int num_workers) {
-  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<TcpListener> listener,
-                           TcpListener::Listen(port));
-  return std::unique_ptr<HttpServer>(
-      new HttpServer(std::move(listener), std::move(handler), num_workers));
-}
-
-void HttpServer::Stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  listener_->Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  workers_->Shutdown();
-}
-
-void HttpServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto conn = listener_->Accept();
-    if (!conn.ok()) break;  // Listener closed or fatal error.
-    // Hand the connection to the pool; keep-alive is served inline there.
-    std::shared_ptr<TcpConnection> shared(conn.value().release());
-    workers_->Submit([this, shared]() mutable {
-      std::unique_ptr<TcpConnection> owned(
-          new TcpConnection(std::move(*shared)));
-      ServeConnection(std::move(owned));
-    });
-  }
-}
-
-void HttpServer::ServeConnection(std::unique_ptr<TcpConnection> conn) {
+// One connection's keep-alive request loop.
+void ServeHttp(TcpConnection* conn, const HttpHandler& handler) {
   conn->SetReadTimeoutMs(30000).IgnoreError();
-  while (!stopping_.load()) {
-    auto request = ReadRequest(conn.get());
+  while (true) {
+    auto request = ReadRequest(conn);
     if (!request.ok()) {
       // Send a 400 for parse errors on a live connection; just close on EOF.
       if (request.status().IsInvalidArgument()) {
@@ -291,13 +250,23 @@ void HttpServer::ServeConnection(std::unique_ptr<TcpConnection> conn) {
       }
       return;
     }
-    HttpResponse response = handler_(*request);
+    HttpResponse response = handler(*request);
     bool close = strings::EqualsIgnoreCase(
         request->headers.Get("Connection"), "close");
     response.headers.Set("Connection", close ? "close" : "keep-alive");
     if (!conn->WriteAll(SerializeResponse(response)).ok()) return;
     if (close) return;
   }
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<ConnectionServer>> StartHttpServer(
+    int port, HttpHandler handler) {
+  return ConnectionServer::Start(
+      port, "http", [handler = std::move(handler)](TcpConnection* conn) {
+        ServeHttp(conn, handler);
+      });
 }
 
 StatusOr<HttpResponse> HttpClient::Get(const std::string& path) {

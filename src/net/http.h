@@ -1,18 +1,16 @@
 #ifndef CHRONOS_NET_HTTP_H_
 #define CHRONOS_NET_HTTP_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "common/statusor.h"
-#include "common/threading.h"
 #include "json/json.h"
+#include "net/connection_server.h"
 #include "net/tcp.h"
 
 namespace chronos::net {
@@ -79,39 +77,11 @@ StatusOr<HttpResponse> ReadResponse(TcpConnection* conn,
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-// Multi-threaded HTTP/1.1 server with keep-alive. One dispatcher thread
-// accepts; a worker pool serves connections.
-class HttpServer {
- public:
-  ~HttpServer();
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  // Starts listening on 127.0.0.1:port (0 = ephemeral) and serving via
-  // `handler`.
-  static StatusOr<std::unique_ptr<HttpServer>> Start(int port,
-                                                     HttpHandler handler,
-                                                     int num_workers = 8);
-
-  int port() const { return listener_->port(); }
-
-  // Stops accepting, drains workers. Idempotent; called by the destructor.
-  void Stop();
-
- private:
-  HttpServer(std::unique_ptr<TcpListener> listener, HttpHandler handler,
-             int num_workers);
-
-  void AcceptLoop();
-  void ServeConnection(std::unique_ptr<TcpConnection> conn);
-
-  std::unique_ptr<TcpListener> listener_;
-  HttpHandler handler_;
-  std::unique_ptr<ThreadPool> workers_;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-};
+// Serves HTTP/1.1 with keep-alive on 127.0.0.1:port (0 = ephemeral), one
+// thread per connection (see ConnectionServer). An idle connection is closed
+// after 30 s. Metrics carry the label server="http".
+StatusOr<std::unique_ptr<ConnectionServer>> StartHttpServer(
+    int port, HttpHandler handler);
 
 // --- Client ---
 

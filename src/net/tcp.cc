@@ -27,21 +27,6 @@ Status Errno(const std::string& what) {
 
 TcpConnection::~TcpConnection() { Close(); }
 
-TcpConnection::TcpConnection(TcpConnection&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
-
-TcpConnection& TcpConnection::operator=(TcpConnection&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 void TcpConnection::Close() {
   if (fd_ >= 0) {
     ::shutdown(fd_, SHUT_RDWR);
@@ -242,10 +227,17 @@ StatusOr<std::unique_ptr<TcpListener>> TcpListener::Listen(int port) {
   return std::unique_ptr<TcpListener>(new TcpListener(fd, bound_port));
 }
 
-StatusOr<std::unique_ptr<TcpConnection>> TcpListener::Accept() {
+StatusOr<std::unique_ptr<TcpConnection>> TcpListener::Accept(
+    int timeout_ms) {
   while (true) {
     int fd = fd_;
     if (fd < 0) return Status::Unavailable("listener closed");
+    if (timeout_ms >= 0) {
+      struct pollfd pfd = {fd, POLLIN, 0};
+      int ready = ::poll(&pfd, 1, timeout_ms);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready == 0) return Status::DeadlineExceeded("accept timeout");
+    }
     int client = ::accept(fd, nullptr, nullptr);
     if (client < 0) {
       if (errno == EINTR) continue;

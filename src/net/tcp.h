@@ -10,7 +10,7 @@
 
 namespace chronos::net {
 
-// Owning wrapper around a connected TCP socket (POSIX fd). Move-only.
+// Owning wrapper around a connected TCP socket (POSIX fd).
 class TcpConnection {
  public:
   explicit TcpConnection(int fd) : fd_(fd) {}
@@ -18,8 +18,6 @@ class TcpConnection {
 
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
-  TcpConnection(TcpConnection&& other) noexcept;
-  TcpConnection& operator=(TcpConnection&& other) noexcept;
 
   // Connects to host:port ("127.0.0.1" or a hostname).
   static StatusOr<std::unique_ptr<TcpConnection>> Connect(
@@ -60,10 +58,13 @@ class TcpListener {
   static StatusOr<std::unique_ptr<TcpListener>> Listen(int port);
 
   // Blocks until a client connects or the listener is closed (Unavailable).
-  StatusOr<std::unique_ptr<TcpConnection>> Accept();
+  // With `timeout_ms` >= 0, fails with DeadlineExceeded if no client
+  // connects within that many milliseconds.
+  StatusOr<std::unique_ptr<TcpConnection>> Accept(int timeout_ms = -1);
 
   // Unblocks pending Accept calls.
   void Close();
+  bool closed() const { return fd_ < 0; }
 
   int port() const { return port_; }
 

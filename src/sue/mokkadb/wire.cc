@@ -178,57 +178,12 @@ json::Json HandleWireRequest(Database* db, const json::Json& request) {
   return ErrorResponse(Status::InvalidArgument("unknown op: " + op));
 }
 
-WireServer::WireServer(Database* db,
-                       std::unique_ptr<net::TcpListener> listener)
-    : db_(db), listener_(std::move(listener)) {
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-}
+namespace {
 
-WireServer::~WireServer() { Stop(); }
-
-StatusOr<std::unique_ptr<WireServer>> WireServer::Start(Database* db,
-                                                        int port) {
-  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<net::TcpListener> listener,
-                           net::TcpListener::Listen(port));
-  return std::unique_ptr<WireServer>(
-      new WireServer(db, std::move(listener)));
-}
-
-void WireServer::Stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  listener_->Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> sessions;
-  {
-    MutexLock lock(sessions_mu_);
-    sessions.swap(sessions_);
-  }
-  for (std::thread& session : sessions) {
-    if (session.joinable()) session.join();
-  }
-}
-
-void WireServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto conn = listener_->Accept();
-    if (!conn.ok()) break;
-    std::shared_ptr<net::TcpConnection> shared(conn.value().release());
-    MutexLock lock(sessions_mu_);
-    sessions_.emplace_back([this, shared]() mutable {
-      std::unique_ptr<net::TcpConnection> owned(
-          new net::TcpConnection(std::move(*shared)));
-      ServeConnection(std::move(owned));
-    });
-  }
-}
-
-void WireServer::ServeConnection(std::unique_ptr<net::TcpConnection> conn) {
+// One client connection's request loop.
+void ServeWire(Database* db, net::TcpConnection* conn) {
   conn->SetReadTimeoutMs(60000).IgnoreError();
-  while (!stopping_.load()) {
+  while (true) {
     auto line = conn->ReadLine(16 * 1024 * 1024);
     if (!line.ok() || line->empty()) return;
     json::Json response;
@@ -236,10 +191,19 @@ void WireServer::ServeConnection(std::unique_ptr<net::TcpConnection> conn) {
     if (!request.ok()) {
       response = ErrorResponse(request.status());
     } else {
-      response = HandleWireRequest(db_, *request);
+      response = HandleWireRequest(db, *request);
     }
     if (!conn->WriteAll(response.Dump() + "\n").ok()) return;
   }
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<net::ConnectionServer>> StartWireServer(
+    Database* db, int port) {
+  return net::ConnectionServer::Start(
+      port, "mokka",
+      [db](net::TcpConnection* conn) { ServeWire(db, conn); });
 }
 
 WireClient::~WireClient() = default;

@@ -1,14 +1,11 @@
 #ifndef CHRONOS_SUE_MOKKADB_WIRE_H_
 #define CHRONOS_SUE_MOKKADB_WIRE_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "net/connection_server.h"
 #include "net/tcp.h"
 #include "sue/mokkadb/database.h"
 
@@ -33,36 +30,13 @@ namespace chronos::mokka {
 // tests).
 json::Json HandleWireRequest(Database* db, const json::Json& request);
 
-class WireServer {
- public:
-  ~WireServer();
-
-  WireServer(const WireServer&) = delete;
-  WireServer& operator=(const WireServer&) = delete;
-
-  // Starts serving `db` (not owned) on 127.0.0.1:port (0 = ephemeral).
-  static StatusOr<std::unique_ptr<WireServer>> Start(Database* db, int port);
-
-  int port() const { return listener_->port(); }
-  std::string endpoint() const {
-    return "127.0.0.1:" + std::to_string(port());
-  }
-
-  void Stop();
-
- private:
-  WireServer(Database* db, std::unique_ptr<net::TcpListener> listener);
-
-  void AcceptLoop();
-  void ServeConnection(std::unique_ptr<net::TcpConnection> conn);
-
-  Database* db_;
-  std::unique_ptr<net::TcpListener> listener_;
-  std::thread accept_thread_;
-  Mutex sessions_mu_;
-  std::vector<std::thread> sessions_ CHRONOS_GUARDED_BY(sessions_mu_);
-  std::atomic<bool> stopping_{false};
-};
+// Serves `db` (not owned; must outlive the server) on 127.0.0.1:port
+// (0 = ephemeral), one thread per client connection (see
+// net::ConnectionServer). An idle connection is closed after 60 s: a
+// benchmark's admin connection sits idle through its load and run phases.
+// Metrics carry the label server="mokka".
+StatusOr<std::unique_ptr<net::ConnectionServer>> StartWireServer(
+    Database* db, int port);
 
 // Blocking client over one persistent connection. Not thread-safe; each
 // benchmark thread owns its own client (as a MongoDB driver connection).

@@ -101,7 +101,7 @@ TEST_F(HttpParserTest, MethodIsUppercased) {
 }
 
 TEST(HttpServerHostileTest, SurvivesGarbageAndStaysUp) {
-  auto server = net::HttpServer::Start(0, [](const net::HttpRequest&) {
+  auto server = net::StartHttpServer(0, [](const net::HttpRequest&) {
     return net::HttpResponse::Ok("alive");
   });
   ASSERT_TRUE(server.ok());

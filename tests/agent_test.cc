@@ -81,7 +81,7 @@ class StubControl {
                    failure_reason_ = body->GetStringOr("reason", "");
                    return net::HttpResponse::Json(json::Json::MakeObject());
                  });
-    auto server = net::HttpServer::Start(
+    auto server = net::StartHttpServer(
         0, [this](const net::HttpRequest& request) {
           return router_.Dispatch(request);
         });
@@ -148,7 +148,7 @@ class StubControl {
 
  private:
   net::Router router_;
-  std::unique_ptr<net::HttpServer> server_;
+  std::unique_ptr<net::ConnectionServer> server_;
   std::mutex mu_;
   int jobs_to_serve_ = 0;
   std::string job_state_ = "running";

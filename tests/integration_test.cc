@@ -76,7 +76,7 @@ class IntegrationTest : public ::testing::Test {
 
     for (int i = 0; i < n; ++i) {
       auto database = std::make_unique<mokka::Database>();
-      auto wire = mokka::WireServer::Start(database.get(), 0);
+      auto wire = mokka::StartWireServer(database.get(), 0);
       ASSERT_TRUE(wire.ok());
       model::Deployment deployment;
       deployment.system_id = system_id_;
@@ -137,7 +137,7 @@ class IntegrationTest : public ::testing::Test {
   std::unique_ptr<control::ControlServer> server_;
   std::string admin_id_, system_id_, project_id_;
   std::vector<std::unique_ptr<mokka::Database>> databases_;
-  std::vector<std::unique_ptr<mokka::WireServer>> wire_servers_;
+  std::vector<std::unique_ptr<net::ConnectionServer>> wire_servers_;
   std::vector<std::string> deployment_ids_;
   std::vector<std::string> endpoints_;
 };
@@ -323,6 +323,38 @@ TEST_F(IntegrationTest, StatusReportsHeartbeatActivity) {
   EXPECT_GT(body.GetIntOr("heartbeat_sweeps", 0), 0);
   ASSERT_TRUE(body.Has("heartbeat_jobs_failed"));
   EXPECT_EQ(body.GetIntOr("heartbeat_jobs_failed", -1), 0);
+}
+
+TEST_F(IntegrationTest, StatusAndMetricsReportConnectionHealth) {
+  std::vector<std::unique_ptr<net::TcpConnection>> idle;
+  for (int i = 0; i < 2; ++i) {
+    auto conn = net::TcpConnection::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(conn.ok());
+    idle.push_back(std::move(conn).value());
+  }
+  net::HttpClient client("127.0.0.1", server_->port());
+  auto response = client.Get("/api/v1/status");
+  ASSERT_TRUE(response.ok());
+  auto body = json::Parse(response->body);
+  ASSERT_TRUE(body.ok());
+  ASSERT_TRUE(body->Has("connections"));
+  const json::Json& connections = body->at("connections");
+  // The two idle sockets plus the status request's own connection.
+  EXPECT_GE(connections.GetIntOr("live", -1), 3);
+  EXPECT_EQ(connections.GetIntOr("shed", -1), 0);
+  EXPECT_EQ(connections.GetIntOr("accept_errors", -1), 0);
+
+  auto metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_GE(MetricValue(metrics->body,
+                        "chronos_net_connections{server=\"http\"}"),
+            3);
+  EXPECT_EQ(MetricValue(metrics->body,
+                        "chronos_net_connections_shed_total{server=\"http\"}"),
+            0);
+  EXPECT_EQ(MetricValue(metrics->body,
+                        "chronos_net_accept_errors_total{server=\"http\"}"),
+            0);
 }
 
 TEST_F(IntegrationTest, AgentTraceIdReachesControlLogs) {
@@ -828,7 +860,7 @@ TEST_F(IntegrationTest, DurableDeploymentSurvivesRestart) {
     options.data_dir = data_dir.path();
     auto database = mokka::Database::Open(options);
     ASSERT_TRUE(database.ok());
-    auto wire = mokka::WireServer::Start(database->get(), 0);
+    auto wire = mokka::StartWireServer(database->get(), 0);
     ASSERT_TRUE(wire.ok());
     port = (*wire)->port();
     auto client = mokka::WireClient::Connect("127.0.0.1", port);
@@ -845,7 +877,7 @@ TEST_F(IntegrationTest, DurableDeploymentSurvivesRestart) {
   options.data_dir = data_dir.path();
   auto database = mokka::Database::Open(options);
   ASSERT_TRUE(database.ok());
-  auto wire = mokka::WireServer::Start(database->get(), 0);
+  auto wire = mokka::StartWireServer(database->get(), 0);
   ASSERT_TRUE(wire.ok());
   auto client = mokka::WireClient::Connect("127.0.0.1", (*wire)->port());
   ASSERT_TRUE(client.ok());

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <fstream>
 #include <thread>
 
 #include "common/file_util.h"
 #include "common/random.h"
+#include "server_test_util.h"
 #include "sue/mokkadb/btree_engine.h"
 #include "sue/mokkadb/collection.h"
 #include "sue/mokkadb/database.h"
@@ -988,7 +991,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DurabilityPropertyTest,
 class WireTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto server = WireServer::Start(&db_, 0);
+    auto server = StartWireServer(&db_, 0);
     ASSERT_TRUE(server.ok());
     server_ = std::move(server).value();
     auto client = WireClient::Connect("127.0.0.1", server_->port());
@@ -997,11 +1000,50 @@ class WireTest : public ::testing::Test {
   }
 
   Database db_;
-  std::unique_ptr<WireServer> server_;
+  std::unique_ptr<net::ConnectionServer> server_;
   std::unique_ptr<WireClient> client_;
 };
 
 TEST_F(WireTest, PingPong) { EXPECT_TRUE(client_->Ping().ok()); }
+
+// The fixture's client sits idle in its session (60 s read timeout).
+TEST_F(WireTest, StopWithIdleClientIsBounded) {
+  ASSERT_TRUE(client_->Ping().ok());
+  EXPECT_TRUE(chronos::testing::StopsWithin(&server_, 1000));
+}
+
+// Virtual size of this process in MB, from /proc/self/status.
+int64_t VmSizeMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7)) / 1024;  // Reported in kB.
+    }
+  }
+  return -1;
+}
+
+// Each session thread that exits keeps its stack mapped until joined.
+TEST_F(WireTest, SequentialConnectionsAreReaped) {
+  ASSERT_TRUE(client_->Ping().ok());  // The fixture's session is live.
+  int64_t live = server_->stats().live;
+  int64_t before = VmSizeMb();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 300; ++i) {
+    auto client = WireClient::Connect("127.0.0.1", server_->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE((*client)->Ping().ok());
+    client->reset();
+    // Let the session end before the next connection.
+    auto start = std::chrono::steady_clock::now();
+    while (server_->stats().live > live &&
+           chronos::testing::MillisSince(start) < 1000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_LT(VmSizeMb() - before, 256);
+}
 
 TEST_F(WireTest, CrudOverTheWire) {
   ASSERT_TRUE(client_->CreateCollection("t", "wiredtiger").ok());

@@ -1,14 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
+#include "fault/failpoint.h"
+#include "net/connection_server.h"
 #include "net/ftp.h"
 #include "net/http.h"
 #include "net/router.h"
 #include "net/tcp.h"
+#include "server_test_util.h"
 
 namespace chronos::net {
 namespace {
+
+using chronos::testing::MillisSince;
+using chronos::testing::StopsWithin;
+using Steady = std::chrono::steady_clock;
+
+// Disarms every failpoint when a test ends, even on an early ASSERT.
+struct DisarmFailPoints {
+  ~DisarmFailPoints() { fault::FailPointRegistry::Get()->ClearAll(); }
+};
+
+// True when the server closed `conn` without replying.
+bool ClosedByServer(TcpConnection* conn) {
+  if (!conn->SetReadTimeoutMs(5000).ok()) return false;
+  auto data = conn->ReadSome();
+  return !data.ok() || data->empty();
+}
 
 // --- TCP ---
 
@@ -124,7 +144,7 @@ TEST(HttpMessageTest, ResponseHelpers) {
 // --- HTTP server + client ---
 
 TEST(HttpServerTest, EchoRoundTrip) {
-  auto server = HttpServer::Start(0, [](const HttpRequest& request) {
+  auto server = StartHttpServer(0, [](const HttpRequest& request) {
     json::Json body = json::Json::MakeObject();
     body.Set("method", request.method);
     body.Set("path", request.path);
@@ -146,7 +166,7 @@ TEST(HttpServerTest, EchoRoundTrip) {
 
 TEST(HttpServerTest, ConcurrentClients) {
   std::atomic<int> handled{0};
-  auto server = HttpServer::Start(0, [&handled](const HttpRequest&) {
+  auto server = StartHttpServer(0, [&handled](const HttpRequest&) {
     handled.fetch_add(1);
     return HttpResponse::Ok("ok");
   });
@@ -174,7 +194,7 @@ TEST(HttpServerTest, ConcurrentClients) {
 }
 
 TEST(HttpServerTest, LargeBodyRoundTrip) {
-  auto server = HttpServer::Start(0, [](const HttpRequest& request) {
+  auto server = StartHttpServer(0, [](const HttpRequest& request) {
     return HttpResponse::Ok(request.body);
   });
   ASSERT_TRUE(server.ok());
@@ -187,7 +207,7 @@ TEST(HttpServerTest, LargeBodyRoundTrip) {
 }
 
 TEST(HttpServerTest, DefaultHeaderApplied) {
-  auto server = HttpServer::Start(0, [](const HttpRequest& request) {
+  auto server = StartHttpServer(0, [](const HttpRequest& request) {
     return HttpResponse::Ok(request.headers.Get("X-Session"));
   });
   ASSERT_TRUE(server.ok());
@@ -198,8 +218,69 @@ TEST(HttpServerTest, DefaultHeaderApplied) {
   EXPECT_EQ(response->body, "token-123");
 }
 
+// Connected sockets that never send a request must not hold up anyone
+// else's request, however many there are.
+TEST(HttpServerTest, IdleConnectionsDoNotStallRequests) {
+  auto server = StartHttpServer(0, [](const HttpRequest&) {
+    return HttpResponse::Ok("ok");
+  });
+  ASSERT_TRUE(server.ok());
+  std::vector<std::unique_ptr<TcpConnection>> idle;
+  for (int i = 0; i < 16; ++i) {
+    auto conn = TcpConnection::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(conn.ok());
+    idle.push_back(std::move(conn).value());
+  }
+  HttpClient client("127.0.0.1", (*server)->port());
+  Steady::time_point start = Steady::now();
+  auto response = client.Get("/");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->body, "ok");
+  EXPECT_LT(MillisSince(start), 1000);
+}
+
+TEST(HttpServerTest, FailedAcceptDoesNotStopServer) {
+  DisarmFailPoints disarm;
+  auto server = StartHttpServer(0, [](const HttpRequest&) {
+    return HttpResponse::Ok("ok");
+  });
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(fault::FailPointRegistry::Get()
+                  ->SetFromString("net.tcp.accept", "error")
+                  .ok());
+  auto dropped = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_TRUE(ClosedByServer(dropped->get()));
+  fault::FailPointRegistry::Get()->ClearAll();
+
+  HttpClient client("127.0.0.1", (*server)->port());
+  Steady::time_point start = Steady::now();
+  auto response = client.Get("/");
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_LT(MillisSince(start), 1000);
+}
+
+TEST(HttpServerTest, StopWithIdleClientIsBounded) {
+  auto server = StartHttpServer(0, [](const HttpRequest&) {
+    return HttpResponse::Ok("ok");
+  });
+  ASSERT_TRUE(server.ok());
+  // One keep-alive exchange, after which the connection sits idle in its
+  // session.
+  auto conn = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(conn.ok());
+  HttpRequest request;
+  request.method = "GET";
+  request.path = "/";
+  ASSERT_TRUE((*conn)->WriteAll(SerializeRequest(request)).ok());
+  auto response = ReadResponse(conn->get());
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->headers.Get("Connection"), "keep-alive");
+  EXPECT_TRUE(StopsWithin(&*server, 1000));
+}
+
 TEST(HttpServerTest, StopIsIdempotent) {
-  auto server = HttpServer::Start(0, [](const HttpRequest&) {
+  auto server = StartHttpServer(0, [](const HttpRequest&) {
     return HttpResponse::Ok("x");
   });
   ASSERT_TRUE(server.ok());
@@ -285,6 +366,118 @@ TEST(RouterTest, TrailingSlashEquivalent) {
   EXPECT_EQ(router.Dispatch(request).status_code, 200);
 }
 
+// --- Connection-serving core ---
+
+// Echoes lines until EOF.
+void EchoLines(TcpConnection* conn) {
+  while (true) {
+    auto line = conn->ReadLine();
+    if (!line.ok() || line->empty()) return;
+    if (!conn->WriteAll(*line).ok()) return;
+  }
+}
+
+bool Echoes(TcpConnection* conn, const std::string& text) {
+  if (!conn->WriteAll(text + "\n").ok()) return false;
+  auto reply = conn->ReadLine();
+  return reply.ok() && *reply == text + "\n";
+}
+
+StatusOr<std::unique_ptr<TcpConnection>> ConnectEcho(int port) {
+  CHRONOS_ASSIGN_OR_RETURN(std::unique_ptr<TcpConnection> conn,
+                           TcpConnection::Connect("127.0.0.1", port));
+  CHRONOS_RETURN_IF_ERROR(conn->SetReadTimeoutMs(5000));
+  return conn;
+}
+
+TEST(ConnectionServerTest, FailedAcceptIsCountedAndAcceptingGoesOn) {
+  DisarmFailPoints disarm;
+  auto server = ConnectionServer::Start(0, "test-accept-error", EchoLines);
+  ASSERT_TRUE(server.ok());
+  ASSERT_TRUE(fault::FailPointRegistry::Get()
+                  ->SetFromString("net.tcp.accept", "error")
+                  .ok());
+  auto dropped = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_TRUE(ClosedByServer(dropped->get()));
+  fault::FailPointRegistry::Get()->ClearAll();
+
+  auto conn = ConnectEcho((*server)->port());
+  ASSERT_TRUE(conn.ok());
+  Steady::time_point start = Steady::now();
+  EXPECT_TRUE(Echoes(conn->get(), "still accepting"));
+  EXPECT_LT(MillisSince(start), 1000);
+  // The loop counts the failure before its next accept.
+  EXPECT_EQ((*server)->stats().accept_errors, 1u);
+  EXPECT_EQ((*server)->stats().live, 1);
+}
+
+// Holds kMaxConnections live sessions (one thread each) at once.
+TEST(ConnectionServerTest, ShedsPastTheCapAndServesTheRest) {
+  auto server = ConnectionServer::Start(0, "test-shed", EchoLines);
+  ASSERT_TRUE(server.ok());
+  std::vector<std::unique_ptr<TcpConnection>> clients;
+  const int64_t kCap = ConnectionServer::kMaxConnections;
+  for (int64_t i = 0; i < kCap; ++i) {
+    auto conn = ConnectEcho((*server)->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(Echoes(conn->get(), "hello"));
+    clients.push_back(std::move(conn).value());
+  }
+  EXPECT_EQ((*server)->stats().live, kCap);
+
+  auto extra = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(extra.ok());
+  EXPECT_TRUE(ClosedByServer(extra->get()));
+  EXPECT_EQ((*server)->stats().shed, 1u);
+
+  for (auto& conn : clients) EXPECT_TRUE(Echoes(conn.get(), "again"));
+  EXPECT_EQ((*server)->stats().live, kCap);
+}
+
+TEST(ConnectionServerTest, StopWakesIdleSessions) {
+  // EchoLines sets no read timeout: only Stop() can end these sessions.
+  auto server = ConnectionServer::Start(0, "test-stop", EchoLines);
+  ASSERT_TRUE(server.ok());
+  std::vector<std::unique_ptr<TcpConnection>> clients;
+  for (int i = 0; i < 4; ++i) {
+    auto conn = ConnectEcho((*server)->port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(Echoes(conn->get(), "hello"));
+    clients.push_back(std::move(conn).value());
+  }
+  EXPECT_EQ((*server)->stats().live, 4);
+  ASSERT_TRUE(StopsWithin(&*server, 1000));
+  EXPECT_EQ((*server)->stats().live, 0);
+  for (auto& conn : clients) EXPECT_TRUE(ClosedByServer(conn.get()));
+  (*server)->Stop();  // Idempotent.
+}
+
+TEST(ConnectionServerTest, StopLetsASessionWriteItsReply) {
+  auto server = ConnectionServer::Start(
+      0, "test-stop-reply", [](TcpConnection* conn) {
+        auto request = conn->ReadLine();
+        if (!request.ok() || request->empty()) return;
+        if (!conn->WriteAll("working\n").ok()) return;
+        // Blocks until Stop() shuts the read side, then answers.
+        auto eof = conn->ReadLine();
+        if (eof.ok() && eof->empty()) {
+          conn->WriteAll("done: " + *request).IgnoreError();
+        }
+      });
+  ASSERT_TRUE(server.ok());
+  auto conn = ConnectEcho((*server)->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE((*conn)->WriteAll("job\n").ok());
+  auto working = (*conn)->ReadLine();
+  ASSERT_TRUE(working.ok());
+  ASSERT_EQ(*working, "working\n");
+  ASSERT_TRUE(StopsWithin(&*server, 1000));
+  auto reply = (*conn)->ReadLine();
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(*reply, "done: job\n");
+}
+
 // --- FTP ---
 
 TEST(FtpTest, LoginStoreRetrieveList) {
@@ -349,6 +542,38 @@ TEST(FtpTest, LargePayloadRoundTrip) {
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(fetched->size(), big.size());
   EXPECT_EQ(*fetched, big);
+}
+
+TEST(FtpTest, StopWithIdleClientIsBounded) {
+  auto server = FtpServer::Start(0, "u", "p");
+  ASSERT_TRUE(server.ok());
+  auto client = FtpClient::Connect("127.0.0.1", (*server)->port(), "u", "p");
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(StopsWithin(&*server, 1000));
+}
+
+// A peer that asks for a transfer and never opens the data connection.
+TEST(FtpTest, UnopenedDataConnectionIsBounded) {
+  auto server = FtpServer::Start(0, "u", "p");
+  ASSERT_TRUE(server.ok());
+  auto conn = TcpConnection::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE((*conn)->SetReadTimeoutMs(5000).ok());
+  auto expect_reply = [&conn](const std::string& code) {
+    auto line = (*conn)->ReadLine();
+    ASSERT_TRUE(line.ok()) << line.status();
+    EXPECT_EQ(line->substr(0, 3), code) << *line;
+  };
+  expect_reply("220");
+  ASSERT_TRUE((*conn)->WriteAll("USER u\r\nPASS p\r\nPASV\r\n").ok());
+  expect_reply("331");
+  expect_reply("230");
+  expect_reply("227");
+  ASSERT_TRUE((*conn)->WriteAll("STOR never\r\n").ok());
+  expect_reply("150");
+  // The data accept waits at most 2 s; Stop() waits for it.
+  EXPECT_TRUE(StopsWithin(&*server, 3000));
+  expect_reply("425");
 }
 
 }  // namespace
