@@ -4,7 +4,8 @@
 #   scripts/check.sh             # everything below
 #   scripts/check.sh --quick     # lint + plain build + ctest only
 #   scripts/check.sh --chaos     # chaos leg only (fault tests under ASan)
-#   scripts/check.sh --crash     # crash leg only (kill-9 recovery, ASan)
+#   scripts/check.sh --crash     # crash leg only (kill-9 recovery + WAL
+#                                # prefix audit, ASan)
 #   scripts/check.sh --trace     # trace leg only (e2e trace + Chrome export)
 #   scripts/check.sh --release   # release leg only (-O3 -Werror build + ctest)
 #
@@ -15,7 +16,8 @@
 #   3. ASan+UBSan build + ctest                    (build-asan/)
 #   4. TSan build + concurrency-focused tests      (build-tsan/)
 #   5. seeded chaos suite under ASan, 3 fixed seeds (build-asan/)
-#   5b. kill-9 crash-recovery suite under ASan, 3 fixed seeds (build-asan/)
+#   5b. kill-9 crash-recovery suite + WAL prefix audit under ASan, 3 fixed
+#       seeds (build-asan/)
 #   5c. trace e2e (forked server + agent) and Chrome-export validation
 #   6. clang thread-safety build, if clang++ found (build-clang/, compile only)
 #   7. clang-tidy over src/, if clang-tidy found
@@ -114,15 +116,18 @@ chaos_leg() {
 crash_leg() {
   # The kill-9 crash-recovery harness under ASan, once per fixed seed. The
   # harness forks the real control-server binary and _exit(137)s it at
-  # injected seams; each seed varies the workload shape but is fully
-  # deterministic, so a failure reproduces with the same CHRONOS_CRASH_SEED.
+  # injected seams; the WAL prefix audit restarts an in-process Control on
+  # every prefix of a scenario's log. Each seed varies the workload shape but
+  # is fully deterministic, so a failure reproduces with the same
+  # CHRONOS_CRASH_SEED.
   cmake -B build-asan -S . -DCHRONOS_SANITIZE=ON >/dev/null &&
-    cmake --build build-asan -j "${JOBS}" --target crash_recovery_test &&
+    cmake --build build-asan -j "${JOBS}" \
+      --target crash_recovery_test wal_prefix_test &&
     for seed in 7 21 1337; do
       echo "--- crash seed ${seed}"
       (cd build-asan &&
          CHRONOS_CRASH_SEED="${seed}" ctest --output-on-failure \
-           -R 'CrashRecovery') || return 1
+           -R 'CrashRecovery|WalPrefix') || return 1
     done
 }
 

@@ -30,7 +30,7 @@ Rules (each can be suppressed on a line with `// chronos-lint: allow`):
                    and slow-logs in one place) or Clock::MonotonicNanos
                    through an injected Clock*. Sanctioned files: the clock
                    implementation itself, CondVar deadline arithmetic in
-                   mutex.h/threading.h/heartbeat_monitor.cc, and uuid.cc's
+                   mutex.h/heartbeat_monitor.cc, and uuid.cc's
                    seed.
   raw-accept       No TcpListener::Accept calls in src/ outside the
                    connection-serving core (net/connection_server.cc) and
@@ -59,7 +59,7 @@ RAW_MUTEX_RE = re.compile(
     r"\bstd::(mutex|shared_mutex|recursive_mutex|timed_mutex|lock_guard|"
     r"unique_lock|shared_lock|scoped_lock|condition_variable(_any)?)\b"
 )
-# The wrappers themselves and the threading utilities may touch <mutex>;
+# The wrappers themselves may touch <mutex>;
 # std::once_flag/call_once stay allowed everywhere (no annotation story).
 RAW_MUTEX_EXEMPT = ("src/common/mutex.h",)
 
@@ -164,13 +164,12 @@ def check_raw_sleep(path, rel, lines, errors):
 # --- Rule: raw-steady-clock ------------------------------------------------
 
 RAW_STEADY_CLOCK_RE = re.compile(r"std::chrono::steady_clock::now\s*\(")
-# clock.cc implements MonotonicNanos; mutex.h / threading.h /
-# heartbeat_monitor.cc compute CondVar wait deadlines (absolute time points,
-# not measurements); uuid.cc seeds its RNG from the tick counter.
+# clock.cc implements MonotonicNanos; mutex.h / heartbeat_monitor.cc compute
+# CondVar wait deadlines (absolute time points, not measurements); uuid.cc
+# seeds its RNG from the tick counter.
 RAW_STEADY_CLOCK_EXEMPT = (
     "src/common/clock.cc",
     "src/common/mutex.h",
-    "src/common/threading.h",
     "src/common/uuid.cc",
     "src/control/heartbeat_monitor.cc",
 )

@@ -35,11 +35,6 @@ store::Filter JobFilter(const std::string& evaluation_id, JobState state) {
           {"state", model::JobStateName(state)}};
 }
 
-// Canonical per-attempt idempotency key for terminal reports.
-std::string AttemptKey(const std::string& job_id, int attempt) {
-  return job_id + "#" + std::to_string(attempt);
-}
-
 // Six-digit zero-padded job sequence, so lexicographic id order equals
 // creation order within an evaluation.
 std::string PadSequence(int sequence) {
@@ -103,6 +98,18 @@ void ObserveTransition(const std::string& job_id, JobState from,
   CHRONOS_LOG(kInfo, "control.job")
       << job_id << ": " << model::JobStateName(from) << " -> "
       << model::JobStateName(to);
+}
+
+// A rescheduled job starts its next attempt with no executor residue, like
+// a freshly created one.
+void ResetForNextAttempt(Job* job) {
+  job->attempt += 1;
+  job->deployment_id.clear();
+  job->progress_percent = 0;
+  job->failure_reason.clear();
+  job->started_at = 0;
+  job->finished_at = 0;
+  job->last_heartbeat_at = 0;
 }
 
 // Tallies one reconciliation action locally and in the process-wide
@@ -400,41 +407,47 @@ StatusOr<model::Evaluation> ControlService::CreateEvaluation(
   if (experiment.archived) {
     return Status::FailedPrecondition("experiment is archived");
   }
+  // Bound the job count before anything is expanded or staged: the
+  // space's own cap does not see repetitions.
+  const uint64_t space = model::ParameterSpaceSize(experiment.settings);
+  if (space > model::kMaxJobs / static_cast<uint64_t>(repetitions)) {
+    return Status::ResourceExhausted(
+        "evaluation expands to " + std::to_string(space) + " x " +
+        std::to_string(repetitions) + " jobs (limit " +
+        std::to_string(model::kMaxJobs) + ")");
+  }
   CHRONOS_ASSIGN_OR_RETURN(
       std::vector<model::ParameterAssignment> assignments,
       model::ExpandParameterSpace(experiment.settings));
-  if (repetitions > 1) {
-    std::vector<model::ParameterAssignment> repeated;
-    repeated.reserve(assignments.size() * repetitions);
-    for (const model::ParameterAssignment& assignment : assignments) {
-      for (int r = 0; r < repetitions; ++r) repeated.push_back(assignment);
-    }
-    assignments = std::move(repeated);
-  }
 
   model::Evaluation evaluation;
   evaluation.id = GenerateUuid();
   evaluation.experiment_id = experiment_id;
   evaluation.name = name.empty() ? experiment.name + " run" : name;
   evaluation.created_at = clock_->NowMs();
-  CHRONOS_RETURN_IF_ERROR(db_->evaluations().Insert(evaluation));
-
+  // The evaluation, its jobs and their events commit as one batch: no
+  // reader or restart ever sees an evaluation without its jobs.
+  store::WriteBatch batch;
+  batch.Insert(db_->evaluations().table(), evaluation.id, evaluation.ToJson());
   int sequence = 0;
-  for (model::ParameterAssignment& assignment : assignments) {
-    Job job;
-    // Sequence-prefixed ids keep Scan order == creation order.
-    job.id = evaluation.id + "-" + PadSequence(sequence++);
-    job.evaluation_id = evaluation.id;
-    job.experiment_id = experiment_id;
-    job.system_id = experiment.system_id;
-    job.state = JobState::kScheduled;
-    job.parameters = std::move(assignment);
-    job.created_at = clock_->NowMs();
-    CHRONOS_RETURN_IF_ERROR(db_->jobs().Insert(job));
-    RecordEvent(job.id, "state", "job created (scheduled)");
-    JobsScheduledTotal()->Increment();
-    JobQueueDepth()->Add(1);
+  for (const model::ParameterAssignment& assignment : assignments) {
+    for (int r = 0; r < repetitions; ++r) {
+      Job job;
+      // Sequence-prefixed ids keep Scan order == creation order.
+      job.id = evaluation.id + "-" + PadSequence(sequence++);
+      job.evaluation_id = evaluation.id;
+      job.experiment_id = experiment_id;
+      job.system_id = experiment.system_id;
+      job.state = JobState::kScheduled;
+      job.parameters = assignment;
+      job.created_at = clock_->NowMs();
+      batch.Insert(db_->jobs().table(), job.id, job.ToJson());
+      StageEvent(&batch, job.id, "state", "job created (scheduled)");
+    }
   }
+  CHRONOS_RETURN_IF_ERROR(db_->table_store()->Commit(std::move(batch)));
+  JobsScheduledTotal()->Increment(sequence);
+  JobQueueDepth()->Add(sequence);
   return evaluation;
 }
 
@@ -468,7 +481,7 @@ StatusOr<EvaluationSummary> ControlService::Summarize(
     summary.state_counts[state] = count;
     summary.total_jobs += count;
     // Finished jobs count as 100%. Scheduled ones are 0% by construction:
-    // CreateEvaluation, RescheduleJob and sanitize_scheduled all zero it.
+    // CreateEvaluation and RescheduleJob both zero it.
     // Only the rest carry a progress worth reading.
     if (state == JobState::kFinished) {
       progress_sum += 100 * count;
@@ -497,10 +510,9 @@ std::vector<Job> ControlService::ListJobs(
   return db_->jobs().FindBy("evaluation_id", json::Json(evaluation_id));
 }
 
-Status ControlService::TransitionJob(
-    const std::string& job_id, JobState to,
-    const std::function<void(Job*)>& mutate) {
-  // Optimistic retry loop around the read-check-write. Under contention
+Status ControlService::EditJob(const std::string& job_id,
+                               const std::function<Status(JobEdit*)>& plan) {
+  // Optimistic retry loop around the read-plan-commit. Under contention
   // (many agents claiming from one evaluation) bare spinning makes every
   // loser re-collide; a short capped backoff between attempts spreads the
   // re-reads out. The policy runs on the service clock, so tests on
@@ -515,23 +527,44 @@ Status ControlService::TransitionJob(
     if (attempt > 0) backoff.SleepNext();
     CHRONOS_ASSIGN_OR_RETURN(auto snapshot,
                              db_->jobs().GetWithVersion(job_id));
-    auto [job, version] = snapshot;
-    CHRONOS_RETURN_IF_ERROR(model::CheckTransition(job.state, to));
-    JobState from = job.state;
-    job.state = to;
-    if (mutate) mutate(&job);
-    Status status = db_->jobs().UpdateIfVersion(job, version);
+    JobEdit edit;
+    edit.job = std::move(snapshot.first);
+    CHRONOS_RETURN_IF_ERROR(plan(&edit));
+    if (!edit.write) return Status::Ok();
+    edit.batch.Update(db_->jobs().table(), job_id, edit.job.ToJson(),
+                      snapshot.second);
+    Status status = db_->table_store()->Commit(std::move(edit.batch));
     if (status.ok()) {
-      RecordEvent(job_id, "state",
-                  std::string(model::JobStateName(from)) + " -> " +
-                      std::string(model::JobStateName(to)));
-      ObserveTransition(job_id, from, to);
+      for (const auto& [from, to] : edit.transitions) {
+        ObserveTransition(job_id, from, to);
+      }
       return Status::Ok();
     }
     if (!status.IsFailedPrecondition()) return status;
-    // Lost the race; back off, re-read and re-validate.
+    // Lost the race; back off, re-read and re-plan.
   }
   return Status::Aborted("job transition contention on " + job_id);
+}
+
+Status ControlService::TransitionJob(
+    const std::string& job_id, JobState to,
+    const std::function<void(Job*)>& mutate) {
+  return EditJob(job_id, [&](JobEdit* edit) {
+    CHRONOS_RETURN_IF_ERROR(Advance(edit, to));
+    if (mutate) mutate(&edit->job);
+    return Status::Ok();
+  });
+}
+
+Status ControlService::Advance(JobEdit* edit, JobState to) {
+  const JobState from = edit->job.state;
+  CHRONOS_RETURN_IF_ERROR(model::CheckTransition(from, to));
+  StageEvent(&edit->batch, edit->job.id, "state",
+             std::string(model::JobStateName(from)) + " -> " +
+                 std::string(model::JobStateName(to)));
+  edit->transitions.emplace_back(from, to);
+  edit->job.state = to;
+  return Status::Ok();
 }
 
 Status ControlService::AbortJob(const std::string& job_id) {
@@ -542,17 +575,7 @@ Status ControlService::AbortJob(const std::string& job_id) {
 }
 
 Status ControlService::RescheduleJob(const std::string& job_id) {
-  TimestampMs now = clock_->NowMs();
-  return TransitionJob(job_id, JobState::kScheduled, [now](Job* job) {
-    job->attempt += 1;
-    job->deployment_id.clear();
-    job->progress_percent = 0;
-    job->failure_reason.clear();
-    job->started_at = 0;
-    job->finished_at = 0;
-    job->last_heartbeat_at = 0;
-    (void)now;
-  });
+  return TransitionJob(job_id, JobState::kScheduled, ResetForNextAttempt);
 }
 
 // --- Agent-facing dispatch ---
@@ -617,23 +640,29 @@ StatusOr<std::optional<Job>> ControlService::PollJob(
 StatusOr<JobState> ControlService::ReportProgress(const std::string& job_id,
                                                   int percent, int attempt) {
   percent = std::clamp(percent, 0, 100);
-  CHRONOS_ASSIGN_OR_RETURN(auto snapshot, db_->jobs().GetWithVersion(job_id));
-  auto [job, version] = snapshot;
-  if (attempt > 0 && job.attempt != attempt) {
-    // A post from a superseded attempt must not touch the live one; kAborted
-    // tells the stale sender to stop.
-    return JobState::kAborted;
-  }
-  if (job.state != JobState::kRunning) {
-    // Not an error: the agent learns the job was aborted/failed meanwhile.
-    return job.state;
-  }
-  job.progress_percent = percent;
-  job.last_heartbeat_at = clock_->NowMs();
-  Status status = db_->jobs().UpdateIfVersion(job, version);
-  if (!status.ok() && !status.IsFailedPrecondition()) return status;
-  RecordEvent(job_id, "progress", std::to_string(percent) + "%");
-  return JobState::kRunning;
+  JobState observed = JobState::kRunning;
+  CHRONOS_RETURN_IF_ERROR(EditJob(job_id, [&](JobEdit* edit) {
+    Job& job = edit->job;
+    if (attempt > 0 && job.attempt != attempt) {
+      // A post from a superseded attempt must not touch the live one;
+      // kAborted tells the stale sender to stop.
+      observed = JobState::kAborted;
+      edit->write = false;
+      return Status::Ok();
+    }
+    observed = job.state;
+    if (job.state != JobState::kRunning) {
+      // Not an error: the agent learns the job was aborted/failed meanwhile.
+      edit->write = false;
+      return Status::Ok();
+    }
+    job.progress_percent = percent;
+    job.last_heartbeat_at = clock_->NowMs();
+    StageEvent(&edit->batch, job_id, "progress",
+               std::to_string(percent) + "%");
+    return Status::Ok();
+  }));
+  return observed;
 }
 
 StatusOr<JobState> ControlService::Heartbeat(const std::string& job_id,
@@ -652,10 +681,9 @@ Status ControlService::AppendLog(const std::string& job_id,
   if (!db_->jobs().Exists(job_id)) {
     return Status::NotFound("job not found: " + job_id);
   }
-  for (const std::string& line : lines) {
-    RecordEvent(job_id, "log", line);
-  }
-  return Status::Ok();
+  store::WriteBatch batch;
+  for (const std::string& line : lines) StageEvent(&batch, job_id, "log", line);
+  return db_->table_store()->Commit(std::move(batch));
 }
 
 size_t ControlService::ImportSpans(const json::Json& spans) {
@@ -685,34 +713,15 @@ Status ControlService::UploadResult(const std::string& job_id,
                                     const std::string& idempotency_key) {
   obs::Span span("control.upload_result");
   span.SetAttribute("job_id", job_id);
-  CHRONOS_ASSIGN_OR_RETURN(Job job, GetJob(job_id));
   if (!idempotency_key.empty()) {
-    // Replay detection. The result row is inserted before the finished
-    // transition commits, so ANY earlier delivery of this key left a row
-    // behind — even one cut short by a crash between the two writes.
+    // Replay detection. The result row commits in the same batch as the
+    // finished transition, so a row with this key means an earlier delivery
+    // was fully applied (the job may have moved on since); acknowledge
+    // without acting.
     for (const model::Result& existing :
          db_->results().FindBy("job_id", json::Json(job_id))) {
-      if (existing.idempotency_key != idempotency_key) continue;
-      if (job.state == JobState::kRunning &&
-          idempotency_key == AttemptKey(job_id, job.attempt)) {
-        // First delivery died inside the insert/transition window; finish
-        // the half-applied upload now.
-        TimestampMs now = clock_->NowMs();
-        return TransitionJob(job_id, JobState::kFinished, [&](Job* job_ptr) {
-          job_ptr->finished_at = now;
-          job_ptr->progress_percent = 100;
-          job_ptr->terminal_key = idempotency_key;
-        });
-      }
-      // Already fully applied (or the job has since moved on to another
-      // attempt); acknowledge without acting.
-      return Status::Ok();
+      if (existing.idempotency_key == idempotency_key) return Status::Ok();
     }
-  }
-  if (job.state != JobState::kRunning) {
-    return Status::FailedPrecondition(
-        "result upload for job in state " +
-        std::string(model::JobStateName(job.state)));
   }
   model::Result result;
   result.id = GenerateUuid();
@@ -721,13 +730,18 @@ Status ControlService::UploadResult(const std::string& job_id,
   result.zip_base64 = zip_base64;
   result.idempotency_key = idempotency_key;
   result.uploaded_at = clock_->NowMs();
-  CHRONOS_RETURN_IF_ERROR(db_->results().Insert(result));
-
-  TimestampMs now = clock_->NowMs();
-  return TransitionJob(job_id, JobState::kFinished, [&](Job* job_ptr) {
-    job_ptr->finished_at = now;
-    job_ptr->progress_percent = 100;
-    job_ptr->terminal_key = idempotency_key;
+  return EditJob(job_id, [&](JobEdit* edit) {
+    if (edit->job.state != JobState::kRunning) {
+      return Status::FailedPrecondition(
+          "result upload for job in state " +
+          std::string(model::JobStateName(edit->job.state)));
+    }
+    CHRONOS_RETURN_IF_ERROR(Advance(edit, JobState::kFinished));
+    edit->job.finished_at = result.uploaded_at;
+    edit->job.progress_percent = 100;
+    edit->job.terminal_key = idempotency_key;
+    edit->batch.Insert(db_->results().table(), result.id, result.ToJson());
+    return Status::Ok();
   });
 }
 
@@ -747,23 +761,23 @@ Status ControlService::FailJob(const std::string& job_id,
     }
   }
   TimestampMs now = clock_->NowMs();
-  CHRONOS_RETURN_IF_ERROR(
-      TransitionJob(job_id, JobState::kFailed, [&](Job* job) {
-        job->failure_reason = reason;
-        job->finished_at = now;
-        if (!idempotency_key.empty()) job->terminal_key = idempotency_key;
-      }));
-  if (options_.auto_reschedule) {
-    auto job = GetJob(job_id);
-    if (job.ok() && job->attempt < options_.max_attempts) {
-      Status status = RescheduleJob(job_id);
-      if (status.ok()) {
-        RecordEvent(job_id, "note",
-                    "auto-rescheduled after failure: " + reason);
-      }
+  // The failure and, while attempts remain, the reschedule are one write of
+  // the job row in its final state, committed with both transitions'
+  // events.
+  return EditJob(job_id, [&](JobEdit* edit) {
+    CHRONOS_RETURN_IF_ERROR(Advance(edit, JobState::kFailed));
+    Job& job = edit->job;
+    job.failure_reason = reason;
+    job.finished_at = now;
+    if (!idempotency_key.empty()) job.terminal_key = idempotency_key;
+    if (options_.auto_reschedule && job.attempt < options_.max_attempts) {
+      CHRONOS_RETURN_IF_ERROR(Advance(edit, JobState::kScheduled));
+      ResetForNextAttempt(&job);
+      StageEvent(&edit->batch, job_id, "note",
+                 "auto-rescheduled after failure: " + reason);
     }
-  }
-  return Status::Ok();
+    return Status::Ok();
+  });
 }
 
 // --- Job detail views ---
@@ -814,8 +828,7 @@ int ControlService::CheckHeartbeats() {
 ReconcileReport ControlService::ReconcileOnStartup() {
   obs::Span span("control.reconcile");
   ReconcileReport report;
-  store::TableStore* store = db_->table_store();
-  auto marker = store->Get(kControlMetaTable, kLifecycleRowId);
+  auto marker = db_->table_store()->Get(kControlMetaTable, kLifecycleRowId);
   if (marker.ok() && marker->GetBoolOr("clean_shutdown", false)) {
     // The previous incarnation shut down cleanly, so nothing can be
     // half-done: skip every scan. The marker is consumed (one-shot) so a
@@ -830,104 +843,20 @@ ReconcileReport ControlService::ReconcileOnStartup() {
   ConsumeCleanShutdownMarker();
   TimestampMs now = clock_->NowMs();
 
-  // 1. Running jobs. Their agent sessions were in memory and died with the
-  // process; what remains decides the outcome. A result row whose key
-  // matches the current attempt means the upload landed but the finished
-  // transition did not — complete it. Otherwise grant a grace lease: stamp
-  // the heartbeat so the monitor gives the (possibly still alive) agent one
-  // full timeout before failing and rescheduling through the attempt budget.
+  // Running jobs: their agent sessions were in memory and died with the
+  // process. Grant each a grace lease: stamp the heartbeat so the monitor
+  // gives the (possibly still alive) agent one full timeout before failing
+  // and rescheduling through the attempt budget.
   for (const Job& job : db_->jobs().Find(
            {{"state", model::JobStateName(JobState::kRunning)}})) {
-    const std::string key = AttemptKey(job.id, job.attempt);
-    bool upload_landed = false;
-    for (const model::Result& result :
-         db_->results().FindBy("job_id", json::Json(job.id))) {
-      if (result.idempotency_key == key) {
-        upload_landed = true;
-        break;
-      }
-    }
-    if (upload_landed) {
-      Status status =
-          TransitionJob(job.id, JobState::kFinished, [&](Job* job_ptr) {
-            job_ptr->finished_at = now;
-            job_ptr->progress_percent = 100;
-            job_ptr->terminal_key = key;
-          });
-      if (status.ok()) {
-        RecordEvent(job.id, "note",
-                    "startup reconciliation: completed half-applied upload");
-        CountReconciliation(&report, "complete_upload");
-      }
-      continue;
-    }
-    auto snapshot = db_->jobs().GetWithVersion(job.id);
-    if (!snapshot.ok()) continue;
-    auto [fresh, version] = *snapshot;
-    fresh.last_heartbeat_at = now;
-    if (db_->jobs().UpdateIfVersion(fresh, version).ok()) {
-      RecordEvent(job.id, "note",
-                  "startup reconciliation: grace lease (agent session lost "
-                  "in restart)");
-      CountReconciliation(&report, "grace_lease");
-    }
-  }
-
-  // 2. Scheduled jobs carrying executor residue (a crash mid-reschedule or
-  // a torn claim): scrub the fields a fresh scheduled job would not have.
-  for (const Job& job : db_->jobs().Find(
-           {{"state", model::JobStateName(JobState::kScheduled)}})) {
-    if (job.deployment_id.empty() && job.progress_percent == 0 &&
-        job.started_at == 0 && job.last_heartbeat_at == 0) {
-      continue;
-    }
-    auto snapshot = db_->jobs().GetWithVersion(job.id);
-    if (!snapshot.ok()) continue;
-    auto [fresh, version] = *snapshot;
-    fresh.deployment_id.clear();
-    fresh.progress_percent = 0;
-    fresh.started_at = 0;
-    fresh.last_heartbeat_at = 0;
-    if (db_->jobs().UpdateIfVersion(fresh, version).ok()) {
-      RecordEvent(job.id, "note",
-                  "startup reconciliation: scrubbed executor residue");
-      CountReconciliation(&report, "sanitize_scheduled");
-    }
-  }
-
-  // 3. Evaluations with zero jobs: the crash hit mid-expansion. The shell
-  // carries no recoverable work (the experiment can simply be re-run), so
-  // drop it rather than leave a forever-0% evaluation in every list view.
-  for (const model::Evaluation& evaluation : db_->evaluations().All()) {
-    if (db_->jobs().Count({{"evaluation_id", evaluation.id}}) == 0) {
-      if (db_->evaluations().Delete(evaluation.id).ok()) {
-        CountReconciliation(&report, "drop_empty_evaluation");
-      }
-    }
-  }
-
-  // 4. Rows pointing at jobs that do not exist (defensive; jobs are never
-  // deleted today, but a dangling reference must not survive a repair).
-  // The job_id indexes list the referenced jobs; only orphans are read.
-  for (const json::Json& job_id :
-       store->DistinctValues(db_->results().table(), "job_id")) {
-    if (db_->jobs().Exists(job_id.as_string())) continue;
-    for (const model::Result& result :
-         db_->results().FindBy("job_id", job_id)) {
-      if (db_->results().Delete(result.id).ok()) {
-        CountReconciliation(&report, "drop_orphan_result");
-      }
-    }
-  }
-  for (const json::Json& job_id :
-       store->DistinctValues(db_->job_events().table(), "job_id")) {
-    if (db_->jobs().Exists(job_id.as_string())) continue;
-    for (const model::JobEvent& event :
-         db_->job_events().FindBy("job_id", job_id)) {
-      if (db_->job_events().Delete(event.id).ok()) {
-        CountReconciliation(&report, "drop_orphan_event");
-      }
-    }
+    Status status = EditJob(job.id, [&](JobEdit* edit) {
+      edit->job.last_heartbeat_at = now;
+      StageEvent(&edit->batch, job.id, "note",
+                 "startup reconciliation: grace lease (agent session lost "
+                 "in restart)");
+      return Status::Ok();
+    });
+    if (status.ok()) CountReconciliation(&report, "grace_lease");
   }
 
   reconcile_report_ = report;
@@ -1009,9 +938,10 @@ ControlService::EvaluationDiagrams(const std::string& evaluation_id) {
   return diagrams;
 }
 
-void ControlService::RecordEvent(const std::string& job_id,
-                                 const std::string& kind,
-                                 const std::string& message) {
+void ControlService::StageEvent(store::WriteBatch* batch,
+                                const std::string& job_id,
+                                const std::string& kind,
+                                const std::string& message) {
   model::JobEvent event;
   event.id = GenerateUuid();
   event.job_id = job_id;
@@ -1019,7 +949,7 @@ void ControlService::RecordEvent(const std::string& job_id,
   event.timestamp_ms = clock_->NowMs();
   event.kind = kind;
   event.message = message;
-  db_->job_events().Insert(event).IgnoreError();
+  batch->Insert(db_->job_events().table(), event.id, event.ToJson());
 }
 
 }  // namespace chronos::control

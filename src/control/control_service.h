@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/diagrams.h"
@@ -25,10 +26,9 @@ struct ControlServiceOptions {
   bool auto_reschedule = true;
 };
 
-// What startup reconciliation did, keyed by action name ("grace_lease",
-// "complete_upload", "sanitize_scheduled", "drop_empty_evaluation",
-// "drop_orphan_result", "drop_orphan_event"). After a clean shutdown the
-// fast path applies: `clean_shutdown` is true and `actions` is empty.
+// What startup reconciliation did, keyed by action name (only
+// "grace_lease" today). After a clean shutdown the fast path applies:
+// `clean_shutdown` is true and `actions` is empty.
 struct ReconcileReport {
   bool clean_shutdown = false;
   std::map<std::string, int> actions;
@@ -182,27 +182,18 @@ class ControlService {
 
   // --- Lifecycle (crash consistency & graceful drain) ---
 
-  // Replays the MetaDb after a boot and deterministically resolves whatever
-  // a crash left half-done. After a clean shutdown (see MarkCleanShutdown)
-  // the marker short-circuits all scans and the report shows zero actions.
-  // The marker is one-shot: it is consumed here so the next boot only sees
-  // it if the intervening shutdown was clean too.
+  // Runs after a boot's MetaDb replay. After a clean shutdown (see
+  // MarkCleanShutdown) the marker short-circuits all scans and the report
+  // shows zero actions. The marker is one-shot: it is consumed here so the
+  // next boot only sees it if the intervening shutdown was clean too.
   //
-  // Actions on a dirty boot, in order:
-  //   complete_upload     running job that already has a Result row — the
-  //                       crash hit between result insert and the finished
-  //                       transition; finish it now.
-  //   grace_lease         running job without a result: its agent session
-  //                       died with the process, but the agent itself may
-  //                       still be working. Stamp last_heartbeat_at = now so
-  //                       the heartbeat monitor grants one full timeout
-  //                       before failing + rescheduling through the normal
-  //                       attempt budget.
-  //   sanitize_scheduled  scheduled job carrying executor residue
-  //                       (deployment_id/progress/timestamps) — scrub it.
-  //   drop_empty_evaluation  evaluation with zero jobs (crash mid-expansion).
-  //   drop_orphan_result / drop_orphan_event  rows pointing at absent jobs.
-  // Each action is logged and counted in chronos_reconciliation_total.
+  // On a dirty boot the only action is grace_lease: every running job's
+  // agent session died with the process, but the agent itself may still be
+  // working, so last_heartbeat_at is stamped now and the heartbeat monitor
+  // grants one full timeout before failing + rescheduling through the
+  // normal attempt budget. Nothing else needs repair: each request commits
+  // as one batch (see EditJob), so a crash leaves no half-applied request
+  // behind. Each lease is logged and counted in chronos_reconciliation_total.
   ReconcileReport ReconcileOnStartup();
 
   // Report of the reconciliation this instance ran at startup.
@@ -239,12 +230,32 @@ class ControlService {
   const ControlServiceOptions& options() const { return options_; }
 
  private:
-  // Applies a checked state transition with optimistic retry. `mutate` may
-  // adjust more fields after the state is set.
+  // One request's change to a job, built by an EditJob plan: the job as
+  // read (mutated in place), the transitions it takes and the rows that
+  // commit with it.
+  struct JobEdit {
+    model::Job job;
+    // Cleared by a plan that finds nothing to write.
+    bool write = true;
+    std::vector<std::pair<model::JobState, model::JobState>> transitions;
+    store::WriteBatch batch;
+  };
+
+  // Read-plan-commit of one job with optimistic retry: `plan` sees the
+  // freshly read job, changes it and stages the rows that go with it; the
+  // job row and those rows commit as one batch. A lost version race backs
+  // off, re-reads and re-plans. ObserveTransition runs once it committed.
+  Status EditJob(const std::string& job_id,
+                 const std::function<Status(JobEdit*)>& plan);
+  // EditJob with a plan that takes one checked transition to `to`; `mutate`
+  // may adjust more fields after the state is set.
   Status TransitionJob(const std::string& job_id, model::JobState to,
                        const std::function<void(model::Job*)>& mutate);
-  void RecordEvent(const std::string& job_id, const std::string& kind,
-                   const std::string& message);
+  // Checks and applies `to` on the edit's job and stages its "state" event.
+  Status Advance(JobEdit* edit, model::JobState to);
+  // Stages one job event in `batch`.
+  void StageEvent(store::WriteBatch* batch, const std::string& job_id,
+                  const std::string& kind, const std::string& message);
   // Clears the one-shot clean-shutdown marker if present (no write if absent).
   void ConsumeCleanShutdownMarker();
 

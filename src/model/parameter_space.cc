@@ -155,7 +155,6 @@ StatusOr<std::vector<ParameterAssignment>> ExpandParameterSpace(
     const std::vector<ParameterSetting>& settings) {
   // Guard against combinatorial explosion before allocating.
   uint64_t total = ParameterSpaceSize(settings);
-  constexpr uint64_t kMaxJobs = 1000000;
   if (total > kMaxJobs) {
     return Status::ResourceExhausted(
         "parameter space expands to " + std::to_string(total) +

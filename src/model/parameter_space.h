@@ -1,6 +1,7 @@
 #ifndef CHRONOS_MODEL_PARAMETER_SPACE_H_
 #define CHRONOS_MODEL_PARAMETER_SPACE_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -65,6 +66,9 @@ Status ValidateSetting(const ParameterDef& def, const ParameterSetting& s);
 
 // Builds the sweep values for an interval definition: min, min+step, ... max.
 std::vector<json::Json> ExpandInterval(double min, double max, double step);
+
+// Most jobs one evaluation may expand to, repetitions included.
+inline constexpr uint64_t kMaxJobs = 1000000;
 
 // Expands experiment settings into the full cartesian product of concrete
 // assignments — "the thorough evaluation of a complete evaluation space".

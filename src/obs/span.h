@@ -137,8 +137,8 @@ class SpanCollector {
 // generation and End() records nothing.
 //
 // Spans must nest like scopes on one thread — end the innermost first. To
-// cross threads, capture CurrentTraceIds() / use WrapWithCurrentTrace (the
-// ThreadPool does this automatically).
+// cross threads, capture CurrentTrace() and install it on the other thread
+// with a TraceScope.
 class Span {
  public:
   explicit Span(std::string name, SpanCollector* collector = nullptr);

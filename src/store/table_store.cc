@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "common/file_util.h"
 #include "fault/failpoint.h"
@@ -69,16 +70,45 @@ std::vector<const Entries*> BucketsWithPrefix(
   return buckets;
 }
 
-json::Json MakeMutation(const char* op, const std::string& table,
-                        const std::string& id) {
-  json::Json m = json::Json::MakeObject();
-  m.Set("op", op);
-  m.Set("table", table);
-  m.Set("id", id);
-  return m;
+// A WAL record's payload: an array of {"op", "table", "id"[, "row"]}
+// mutations, the rows of one committed batch.
+bool IsBatch(const json::Json& record) {
+  if (!record.is_array()) return false;
+  for (const json::Json& mutation : record.as_array()) {
+    if (!mutation.at("table").is_string() || !mutation.at("id").is_string()) {
+      return false;
+    }
+    const std::string& op = mutation.at("op").as_string();
+    if (op == kOpDelete) continue;
+    if ((op != kOpInsert && op != kOpUpdate) ||
+        !mutation.at("row").is_object()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
+
+void WriteBatch::Insert(std::string table, std::string id, json::Json row) {
+  writes_.push_back(
+      {Op::kInsert, std::move(table), std::move(id), std::move(row), -1});
+}
+
+void WriteBatch::Update(std::string table, std::string id, json::Json row,
+                        int64_t expected_version) {
+  writes_.push_back({Op::kUpdate, std::move(table), std::move(id),
+                     std::move(row), expected_version});
+}
+
+void WriteBatch::Upsert(std::string table, std::string id, json::Json row) {
+  writes_.push_back(
+      {Op::kUpsert, std::move(table), std::move(id), std::move(row), -1});
+}
+
+void WriteBatch::Delete(std::string table, std::string id) {
+  writes_.push_back({Op::kDelete, std::move(table), std::move(id), {}, -1});
+}
 
 TableStore::TableStore(std::string dir, TableStoreOptions options,
                        std::vector<IndexSpec> indexes)
@@ -149,23 +179,18 @@ Status TableStore::Load() {
                            Wal::ReplayRecords(WalPath()));
   for (const WalRecord& record : records) {
     if (record.seq <= covered_seq) continue;
-    auto mutation = json::Parse(record.payload);
-    if (!mutation.ok()) {
-      // A record passed its CRC but fails to parse: treat as corrupt tail.
-      break;
+    // The frame's CRC held, so this is what a commit wrote, not a torn
+    // tail: anything but a batch means the log cannot be trusted.
+    auto batch = json::Parse(record.payload);
+    if (!batch.ok() || !IsBatch(*batch)) {
+      return Status::Corruption("WAL record " + std::to_string(record.seq) +
+                                " is not a batch");
     }
-    Apply(*std::move(mutation));
+    for (json::Json& mutation : batch->as_array_mutable()) {
+      Apply(std::move(mutation));
+    }
   }
   return Status::Ok();
-}
-
-Status TableStore::LogAndApply(json::Json mutation) {
-  // Fails the whole commit before the WAL sees it ("store.commit" covers
-  // the durability boundary; "wal.append" the log write itself).
-  CHRONOS_RETURN_IF_ERROR(fault::Inject("store.commit"));
-  CHRONOS_RETURN_IF_ERROR(wal_->Append(mutation.Dump(), options_.sync_writes));
-  Apply(std::move(mutation));
-  return MaybeCheckpointLocked();
 }
 
 void TableStore::Apply(json::Json mutation) {
@@ -269,83 +294,106 @@ Status TableStore::CheckpointLocked() {
   return wal_->Truncate();
 }
 
-Status TableStore::Insert(const std::string& table, const std::string& id,
-                          json::Json row) {
-  if (!row.is_object()) return Status::InvalidArgument("row must be an object");
+int64_t TableStore::StoredVersion(const std::string& table,
+                                  const std::string& id) const {
+  auto table_it = tables_.find(table);
+  if (table_it == tables_.end()) return -1;
+  auto row_it = table_it->second.find(id);
+  if (row_it == table_it->second.end()) return -1;
+  return row_it->second.GetIntOr("_version", 0);
+}
+
+Status TableStore::Commit(WriteBatch batch) {
+  if (batch.empty()) return Status::Ok();
+  std::set<std::pair<std::string_view, std::string_view>> named;
+  for (const WriteBatch::Write& write : batch.writes_) {
+    if (write.op != WriteBatch::Op::kDelete && !write.row.is_object()) {
+      return Status::InvalidArgument("row must be an object");
+    }
+    if (!named.emplace(write.table, write.id).second) {
+      return Status::InvalidArgument("batch names " + write.table + "/" +
+                                     write.id + " twice");
+    }
+  }
   // Span before lock: destruction order releases mu_ first, so a slow-span
   // WARN never logs under the store mutex.
   obs::Span span("store.commit");
-  span.SetAttribute("op", "insert");
-  span.SetAttribute("table", table);
+  span.SetAttribute("ops", std::to_string(batch.size()));
   MutexLock lock(mu_);
-  auto table_it = tables_.find(table);
-  if (table_it != tables_.end() && table_it->second.count(id) > 0) {
-    return Status::AlreadyExists("row exists: " + table + "/" + id);
+  json::Json record = json::Json::MakeArray();
+  for (WriteBatch::Write& write : batch.writes_) {
+    const int64_t version = StoredVersion(write.table, write.id);
+    auto path = [&write] { return write.table + "/" + write.id; };
+    const char* op = kOpUpdate;
+    switch (write.op) {
+      case WriteBatch::Op::kInsert:
+        if (version >= 0) {
+          return Status::AlreadyExists("row exists: " + path());
+        }
+        op = kOpInsert;
+        break;
+      case WriteBatch::Op::kUpdate:
+        if (version < 0) return Status::NotFound("row not found: " + path());
+        if (write.expected_version >= 0 && version != write.expected_version) {
+          return Status::FailedPrecondition(
+              "version mismatch on " + path() + ": expected " +
+              std::to_string(write.expected_version) + ", found " +
+              std::to_string(version));
+        }
+        break;
+      case WriteBatch::Op::kUpsert:
+        break;
+      case WriteBatch::Op::kDelete:
+        if (version < 0) return Status::NotFound("row not found: " + path());
+        op = kOpDelete;
+        break;
+    }
+    json::Json mutation = json::Json::MakeObject();
+    mutation.Set("op", op);
+    mutation.Set("table", write.table);
+    mutation.Set("id", write.id);
+    if (write.op != WriteBatch::Op::kDelete) {
+      write.row.Set("id", write.id);
+      write.row.Set("_version", std::max<int64_t>(version, 0) + 1);
+      mutation.Set("row", std::move(write.row));
+    }
+    record.Append(std::move(mutation));
   }
-  row.Set("id", id);
-  row.Set("_version", static_cast<int64_t>(1));
-  json::Json mutation = MakeMutation(kOpInsert, table, id);
-  mutation.Set("row", std::move(row));
-  return LogAndApply(std::move(mutation));
+  // Fails the whole commit before the WAL sees it ("store.commit" covers
+  // the durability boundary; "wal.append" the log write itself).
+  CHRONOS_RETURN_IF_ERROR(fault::Inject("store.commit"));
+  CHRONOS_RETURN_IF_ERROR(wal_->Append(record.Dump(), options_.sync_writes));
+  for (json::Json& mutation : record.as_array_mutable()) {
+    Apply(std::move(mutation));
+  }
+  return MaybeCheckpointLocked();
+}
+
+Status TableStore::Insert(const std::string& table, const std::string& id,
+                          json::Json row) {
+  WriteBatch batch;
+  batch.Insert(table, id, std::move(row));
+  return Commit(std::move(batch));
 }
 
 Status TableStore::Update(const std::string& table, const std::string& id,
                           json::Json row, int64_t expected_version) {
-  if (!row.is_object()) return Status::InvalidArgument("row must be an object");
-  obs::Span span("store.commit");
-  span.SetAttribute("op", "update");
-  span.SetAttribute("table", table);
-  MutexLock lock(mu_);
-  auto table_it = tables_.find(table);
-  if (table_it == tables_.end() || table_it->second.count(id) == 0) {
-    return Status::NotFound("row not found: " + table + "/" + id);
-  }
-  int64_t current_version = table_it->second[id].GetIntOr("_version", 0);
-  if (expected_version >= 0 && current_version != expected_version) {
-    return Status::FailedPrecondition(
-        "version mismatch on " + table + "/" + id + ": expected " +
-        std::to_string(expected_version) + ", found " +
-        std::to_string(current_version));
-  }
-  row.Set("id", id);
-  row.Set("_version", current_version + 1);
-  json::Json mutation = MakeMutation(kOpUpdate, table, id);
-  mutation.Set("row", std::move(row));
-  return LogAndApply(std::move(mutation));
+  WriteBatch batch;
+  batch.Update(table, id, std::move(row), expected_version);
+  return Commit(std::move(batch));
 }
 
 Status TableStore::Upsert(const std::string& table, const std::string& id,
                           json::Json row) {
-  if (!row.is_object()) return Status::InvalidArgument("row must be an object");
-  obs::Span span("store.commit");
-  span.SetAttribute("op", "upsert");
-  span.SetAttribute("table", table);
-  MutexLock lock(mu_);
-  int64_t version = 0;
-  auto table_it = tables_.find(table);
-  if (table_it != tables_.end()) {
-    auto row_it = table_it->second.find(id);
-    if (row_it != table_it->second.end()) {
-      version = row_it->second.GetIntOr("_version", 0);
-    }
-  }
-  row.Set("id", id);
-  row.Set("_version", version + 1);
-  json::Json mutation = MakeMutation(kOpUpdate, table, id);
-  mutation.Set("row", std::move(row));
-  return LogAndApply(std::move(mutation));
+  WriteBatch batch;
+  batch.Upsert(table, id, std::move(row));
+  return Commit(std::move(batch));
 }
 
 Status TableStore::Delete(const std::string& table, const std::string& id) {
-  obs::Span span("store.commit");
-  span.SetAttribute("op", "delete");
-  span.SetAttribute("table", table);
-  MutexLock lock(mu_);
-  auto table_it = tables_.find(table);
-  if (table_it == tables_.end() || table_it->second.count(id) == 0) {
-    return Status::NotFound("row not found: " + table + "/" + id);
-  }
-  return LogAndApply(MakeMutation(kOpDelete, table, id));
+  WriteBatch batch;
+  batch.Delete(table, id);
+  return Commit(std::move(batch));
 }
 
 StatusOr<json::Json> TableStore::Get(const std::string& table,
@@ -448,38 +496,6 @@ std::vector<size_t> TableStore::CountEach(
     }
   }
   return counts;
-}
-
-std::vector<json::Json> TableStore::DistinctValues(
-    const std::string& table, const std::string& field) const {
-  MutexLock lock(mu_);
-  std::vector<json::Json> values;
-  auto index_it = indexes_.find(table);
-  if (index_it != indexes_.end()) {
-    for (const Index& index : index_it->second) {
-      if (index.spec.fields.empty() || index.spec.fields[0] != field) {
-        continue;
-      }
-      std::string last;
-      for (const auto& [key, ids] : index.entries) {
-        std::string part = key.substr(0, key.find(kKeySeparator));
-        if (!values.empty() && part == last) continue;
-        auto value = json::Parse(part);
-        if (value.ok()) values.push_back(*std::move(value));
-        last = std::move(part);
-      }
-      return values;
-    }
-  }
-  auto table_it = tables_.find(table);
-  if (table_it == tables_.end()) return values;
-  for (const auto& [id, row] : table_it->second) {
-    const json::Json& value = row.at(field);
-    if (std::find(values.begin(), values.end(), value) == values.end()) {
-      values.push_back(value);
-    }
-  }
-  return values;
 }
 
 int64_t TableStore::MaxInt(const std::string& table,

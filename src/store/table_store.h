@@ -21,7 +21,7 @@
 namespace chronos::store {
 
 struct TableStoreOptions {
-  // fsync the WAL on every mutation. Chronos Control metadata defaults to
+  // fsync the WAL on every commit. Chronos Control metadata defaults to
   // durable commits; benchmarks may relax this.
   bool sync_writes = true;
   // Checkpoint automatically once the WAL exceeds this size (0 = never).
@@ -43,18 +43,55 @@ struct IndexSpec {
 // An equality filter: every (field, value) pair must match.
 using Filter = std::vector<std::pair<std::string, json::Json>>;
 
+// The row writes of one atomic commit (TableStore::Commit). A batch names
+// each (table, id) at most once, so every check in it is made against the
+// state before the batch.
+class WriteBatch {
+ public:
+  // Fails the commit with AlreadyExists if the id is taken. The stored row
+  // gains "_version" = 1.
+  void Insert(std::string table, std::string id, json::Json row);
+  // Replaces a row; fails the commit with NotFound. If expected_version >=
+  // 0, fails it with FailedPrecondition unless that is the stored version.
+  void Update(std::string table, std::string id, json::Json row,
+              int64_t expected_version = -1);
+  // Insert-or-replace without version checking.
+  void Upsert(std::string table, std::string id, json::Json row);
+  // Fails the commit with NotFound if the row is absent.
+  void Delete(std::string table, std::string id);
+
+  size_t size() const { return writes_.size(); }
+  bool empty() const { return writes_.empty(); }
+
+ private:
+  friend class TableStore;
+
+  enum class Op { kInsert, kUpdate, kUpsert, kDelete };
+  struct Write {
+    Op op;
+    std::string table;
+    std::string id;
+    json::Json row;
+    int64_t expected_version;
+  };
+  std::vector<Write> writes_;
+};
+
 // A row is a JSON object; every row has a string primary key ("id"). The
 // store additionally maintains an optimistic-concurrency version counter per
 // row (exposed as "_version") so multi-step updates can be made atomic.
 //
 // Durability model (MySQL substitute for Chronos Control):
-//   * every mutation is appended to a WAL before being applied in memory;
+//   * every commit is one WriteBatch, appended to the WAL as one record
+//     before it is applied in memory, all rows or none;
 //   * Checkpoint() writes a full JSON snapshot and truncates the WAL;
 //   * Open() loads the snapshot (if any) and replays the WAL over it —
-//     crash at any point recovers the last committed mutation.
+//     crash at any point recovers the last committed batch, never part of
+//     one.
 //
 // Indexes (IndexSpec) are maintained inside Apply() under the same mutex as
-// the rows, so a reader never sees an index disagree with the table.
+// the rows, so a reader never sees an index disagree with the table, nor
+// part of a batch.
 //
 // Thread-safe: a single store-wide mutex serializes mutations (metadata
 // traffic is small; fairness beats parallelism here).
@@ -71,20 +108,19 @@ class TableStore {
       const std::string& dir, TableStoreOptions options = {},
       std::vector<IndexSpec> indexes = {});
 
-  // Inserts a row; fails with AlreadyExists if the id is taken. The stored
-  // row gains "_version" = 1.
+  // Applies every write of `batch` or none: all checks run under the store
+  // mutex before the batch is logged as one WAL record. The first failing
+  // check's status is returned; a batch naming a row twice is
+  // InvalidArgument. An empty batch writes nothing.
+  Status Commit(WriteBatch batch);
+
+  // One-write batches; see WriteBatch for each write's checks.
   Status Insert(const std::string& table, const std::string& id,
                 json::Json row);
-
-  // Replaces a row; fails with NotFound. If expected_version >= 0, fails
-  // with FailedPrecondition unless it matches the stored version.
   Status Update(const std::string& table, const std::string& id,
                 json::Json row, int64_t expected_version = -1);
-
-  // Insert-or-replace without version checking.
   Status Upsert(const std::string& table, const std::string& id,
                 json::Json row);
-
   Status Delete(const std::string& table, const std::string& id);
 
   StatusOr<json::Json> Get(const std::string& table,
@@ -117,12 +153,6 @@ class TableStore {
   std::vector<size_t> CountEach(const std::string& table,
                                 const std::vector<Filter>& filters) const;
 
-  // The distinct values `field` takes in `table`, in no particular order.
-  // Served from the keys of
-  // an index led by `field` when one is declared.
-  std::vector<json::Json> DistinctValues(const std::string& table,
-                                         const std::string& field) const;
-
   // Largest integer `field` over the table's rows (0 if none), read in
   // place without copying rows.
   int64_t MaxInt(const std::string& table, const std::string& field) const;
@@ -135,7 +165,8 @@ class TableStore {
 
   uint64_t wal_bytes() const;
 
-  // Monotonic sequence number of applied mutations (for tests/metrics).
+  // Number of row writes applied, counting each row of a batch (for
+  // tests/metrics).
   uint64_t applied_mutations() const;
 
  private:
@@ -163,7 +194,9 @@ class TableStore {
                 const json::Json& row, bool add) CHRONOS_REQUIRES(mu_);
 
   Status Load() CHRONOS_EXCLUDES(mu_);
-  Status LogAndApply(json::Json mutation) CHRONOS_REQUIRES(mu_);
+  // The stored version of a row, or -1 if it is absent.
+  int64_t StoredVersion(const std::string& table, const std::string& id) const
+      CHRONOS_REQUIRES(mu_);
   void Apply(json::Json mutation) CHRONOS_REQUIRES(mu_);
   Status MaybeCheckpointLocked() CHRONOS_REQUIRES(mu_);
   Status CheckpointLocked() CHRONOS_REQUIRES(mu_);

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "common/strings.h"
-#include "common/threading.h"
 #include "common/uuid.h"
 
 namespace chronos {
@@ -274,69 +273,6 @@ TEST(RngTest, BoundsRespected) {
     EXPECT_GE(v, -5);
     EXPECT_LE(v, 5);
   }
-}
-
-// --- threading ---
-
-TEST(BlockingQueueTest, FifoOrder) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Push(2);
-  queue.Push(3);
-  EXPECT_EQ(*queue.Pop(), 1);
-  EXPECT_EQ(*queue.Pop(), 2);
-  EXPECT_EQ(*queue.Pop(), 3);
-}
-
-TEST(BlockingQueueTest, CloseDrainsThenEnds) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Close();
-  EXPECT_FALSE(queue.Push(2));
-  EXPECT_EQ(*queue.Pop(), 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(BlockingQueueTest, TryPopNonBlocking) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.TryPop().has_value());
-  queue.Push(9);
-  EXPECT_EQ(*queue.TryPop(), 9);
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Shutdown();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, RejectsAfterShutdown) {
-  ThreadPool pool(1);
-  pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
-}
-
-TEST(CountDownLatchTest, WaitsForZero) {
-  CountDownLatch latch(3);
-  std::thread t([&latch] {
-    latch.CountDown();
-    latch.CountDown();
-    latch.CountDown();
-  });
-  latch.Wait();
-  t.join();
-  SUCCEED();
-}
-
-TEST(CountDownLatchTest, TimedWaitExpires) {
-  CountDownLatch latch(1);
-  EXPECT_FALSE(latch.WaitForMs(20));
-  latch.CountDown();
-  EXPECT_TRUE(latch.WaitForMs(20));
 }
 
 // --- logging ---

@@ -13,7 +13,6 @@
 #include "common/file_util.h"
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "common/threading.h"
 #include "control/control_service.h"
 #include "control/heartbeat_monitor.h"
 #include "obs/metrics_registry.h"
@@ -92,151 +91,6 @@ TEST(CondVarTest, WaitForMsTimesOut) {
   CondVar cv;
   MutexLock lock(mu);
   EXPECT_FALSE(cv.WaitForMs(mu, 10));  // Nobody notifies: timeout.
-}
-
-// --- CountDownLatch (regression: notify must happen after unlock, and a
-// latch that hits zero must release every waiter exactly once) ---
-
-TEST(CountDownLatchTest, ReleasesAllWaiters) {
-  CountDownLatch latch(3);
-  std::atomic<int> released{0};
-  std::vector<std::thread> waiters;
-  for (int t = 0; t < 4; ++t) {
-    waiters.emplace_back([&] {
-      latch.Wait();
-      released.fetch_add(1);
-    });
-  }
-  EXPECT_EQ(released.load(), 0);
-  latch.CountDown();
-  latch.CountDown();
-  EXPECT_EQ(latch.count(), 1);
-  latch.CountDown();
-  for (auto& thread : waiters) thread.join();
-  EXPECT_EQ(released.load(), 4);
-  EXPECT_EQ(latch.count(), 0);
-}
-
-TEST(CountDownLatchTest, ExtraCountDownsAreHarmless) {
-  CountDownLatch latch(1);
-  latch.CountDown();
-  latch.CountDown();  // Past zero: no underflow, no spurious state.
-  EXPECT_EQ(latch.count(), 0);
-  latch.Wait();       // Already released: returns immediately.
-  EXPECT_TRUE(latch.WaitForMs(0));
-}
-
-TEST(CountDownLatchTest, WaitForMsTimesOutWhilePending) {
-  CountDownLatch latch(1);
-  EXPECT_FALSE(latch.WaitForMs(10));
-  latch.CountDown();
-  EXPECT_TRUE(latch.WaitForMs(10));
-}
-
-TEST(CountDownLatchTest, ConcurrentCountDowns) {
-  constexpr int kThreads = 8;
-  CountDownLatch latch(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] { latch.CountDown(); });
-  }
-  latch.Wait();
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(latch.count(), 0);
-}
-
-// --- BlockingQueue (regression: size() and TryPop lock the same mutex as
-// the mutating operations; Close wakes all blocked consumers) ---
-
-TEST(BlockingQueueTest, SizeAndTryPopAreConsistentUnderProducers) {
-  BlockingQueue<int> queue;
-  constexpr int kProducers = 4;
-  constexpr int kItems = 1000;
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&, t] {
-      for (int i = 0; i < kItems; ++i) {
-        ASSERT_TRUE(queue.Push(t * kItems + i));
-      }
-    });
-  }
-  std::set<int> drained;
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    while (true) {
-      auto item = queue.TryPop();
-      if (item.has_value()) {
-        drained.insert(*item);
-      } else if (done.load()) {
-        // Producers finished and the queue read empty: one final drain.
-        while ((item = queue.TryPop()).has_value()) drained.insert(*item);
-        return;
-      }
-      (void)queue.size();  // Must not race with concurrent Push/TryPop.
-    }
-  });
-  for (auto& thread : producers) thread.join();
-  done.store(true);
-  consumer.join();
-  EXPECT_EQ(drained.size(), size_t{kProducers} * kItems);
-  EXPECT_EQ(queue.size(), 0u);
-}
-
-TEST(BlockingQueueTest, CloseReleasesAllBlockedConsumers) {
-  BlockingQueue<int> queue;
-  constexpr int kConsumers = 4;
-  std::atomic<int> woke{0};
-  std::vector<std::thread> consumers;
-  for (int t = 0; t < kConsumers; ++t) {
-    consumers.emplace_back([&] {
-      while (queue.Pop().has_value()) {
-      }
-      woke.fetch_add(1);
-    });
-  }
-  queue.Push(1);
-  queue.Push(2);
-  queue.Close();
-  for (auto& thread : consumers) thread.join();
-  EXPECT_EQ(woke.load(), kConsumers);
-  EXPECT_FALSE(queue.Push(3));  // Closed.
-}
-
-// --- ThreadPool shutdown races ---
-
-TEST(ThreadPoolTest, SubmittersRacingShutdown) {
-  for (int round = 0; round < 10; ++round) {
-    ThreadPool pool(3);
-    std::atomic<int> executed{0};
-    std::atomic<int> accepted{0};
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-      submitters.emplace_back([&] {
-        for (int i = 0; i < 50; ++i) {
-          if (pool.Submit([&] { executed.fetch_add(1); })) {
-            accepted.fetch_add(1);
-          }
-        }
-      });
-    }
-    std::thread shutdown([&] { pool.Shutdown(); });
-    for (auto& thread : submitters) thread.join();
-    shutdown.join();
-    pool.Shutdown();  // Idempotent.
-    // Every accepted task ran; rejected ones never did.
-    EXPECT_EQ(executed.load(), accepted.load());
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      ASSERT_TRUE(pool.Submit([&] { executed.fetch_add(1); }));
-    }
-  }
-  EXPECT_EQ(executed.load(), 100);
 }
 
 // --- Logger under concurrent sinks and writers ---
@@ -332,6 +186,7 @@ class ControlConcurrencyTest : public ::testing::Test {
     auto experiment = service_->CreateExperiment(
         project->id, admin->id, system_id_, "stress", "", {sweep});
     ASSERT_TRUE(experiment.ok()) << experiment.status();
+    experiment_id_ = experiment->id;
     auto evaluation = service_->CreateEvaluation(experiment->id, "run");
     ASSERT_TRUE(evaluation.ok()) << evaluation.status();
     evaluation_id_ = evaluation->id;
@@ -353,6 +208,7 @@ class ControlConcurrencyTest : public ::testing::Test {
   std::unique_ptr<model::MetaDb> db_;
   std::unique_ptr<ControlService> service_;
   std::string system_id_;
+  std::string experiment_id_;
   std::string evaluation_id_;
 };
 
@@ -394,6 +250,70 @@ TEST_F(ControlConcurrencyTest, ConcurrentPollsNeverDoubleClaim) {
   for (const auto& job : jobs) {
     EXPECT_EQ(job.state, model::JobState::kFinished) << job.id;
   }
+}
+
+// Each request commits as one batch, so a reader never sees part of one: a
+// job with a result row is never still running (the reader reads results
+// first, then the job), and a listed evaluation always has its jobs.
+TEST_F(ControlConcurrencyTest, ReadersNeverSeeHalfARequest) {
+  constexpr int kFinishers = 2;
+  constexpr int kEvaluationsPerFinisher = 25;
+  std::vector<std::string> deployments;
+  for (int i = 0; i < kFinishers; ++i) deployments.push_back(AddDeployment(i));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> running_with_result{0};
+  std::atomic<int> empty_evaluations{0};
+  std::atomic<int> reads{0};
+  std::thread reader([&] {
+    // A job seen finished stays finished; only new results need a look.
+    std::set<std::string> checked;
+    while (!done.load()) {
+      for (const model::Result& result : db_->results().All()) {
+        if (checked.count(result.id) > 0) continue;
+        auto job = service_->GetJob(result.job_id);
+        if (job.ok() && job->state == model::JobState::kRunning) {
+          running_with_result.fetch_add(1);
+        }
+        checked.insert(result.id);
+      }
+      for (const model::Evaluation& evaluation :
+           service_->ListEvaluations(experiment_id_)) {
+        auto summary = service_->Summarize(evaluation.id);
+        if (summary.ok() && summary->total_jobs == 0) {
+          empty_evaluations.fetch_add(1);
+        }
+      }
+      reads.fetch_add(1);
+    }
+  });
+  std::vector<std::thread> finishers;
+  for (int t = 0; t < kFinishers; ++t) {
+    finishers.emplace_back([&, t] {
+      for (int e = 0; e < kEvaluationsPerFinisher; ++e) {
+        auto created = service_->CreateEvaluation(experiment_id_, "more");
+        ASSERT_TRUE(created.ok()) << created.status();
+        for (;;) {
+          auto poll = service_->PollJob(deployments[t]);
+          ASSERT_TRUE(poll.ok()) << poll.status();
+          if (!poll->has_value()) break;
+          const model::Job& job = **poll;
+          EXPECT_TRUE(service_
+                          ->UploadResult(job.id, json::Json::MakeObject(), "",
+                                         job.id + "#1")
+                          .ok());
+        }
+      }
+    });
+  }
+  for (auto& thread : finishers) thread.join();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(running_with_result.load(), 0);
+  EXPECT_EQ(empty_evaluations.load(), 0);
+  EXPECT_EQ(db_->results().Count(),
+            8u + kFinishers * kEvaluationsPerFinisher * 8u);
 }
 
 TEST_F(ControlConcurrencyTest, AbortRacesHeartbeatAndProgress) {

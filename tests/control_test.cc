@@ -9,7 +9,6 @@
 #include "archive/zip.h"
 #include "common/file_util.h"
 #include "common/strings.h"
-#include "common/uuid.h"
 #include "control/archiver.h"
 #include "control/auth.h"
 #include "control/control_service.h"
@@ -819,6 +818,45 @@ TEST_F(ControlServiceTest, StateSurvivesServiceRestart) {
   EXPECT_EQ(service_->GetJob(job_id)->state, JobState::kScheduled);
 }
 
+TEST_F(ControlServiceTest, CreateEvaluationBoundsJobsBeforeExpanding) {
+  model::System system;
+  system.name = "wide";
+  model::ParameterDef index;
+  index.name = "index";
+  index.type = model::ParameterType::kInterval;
+  index.min = 0;
+  index.max = 1e6;
+  system.parameters.push_back(index);
+  auto registered = service_->RegisterSystem(system);
+  ASSERT_TRUE(registered.ok());
+  auto project = service_->CreateProject("wide", "", admin_id_);
+  ASSERT_TRUE(project.ok());
+  model::ParameterSetting sweep;
+  sweep.name = "index";
+  for (int i = 0; i <= 1000; ++i) sweep.sweep.push_back(json::Json(i));
+  auto experiment = service_->CreateExperiment(
+      project->id, admin_id_, registered->id, "wide", "", {sweep});
+  ASSERT_TRUE(experiment.ok()) << experiment.status();
+
+  auto row_counts = [this] {
+    std::map<std::string, size_t> counts;
+    for (const std::string& table : db_->table_store()->TableNames()) {
+      counts[table] = db_->table_store()->Count(table);
+    }
+    return counts;
+  };
+  const std::map<std::string, size_t> before = row_counts();
+  // 1,001 assignments x 1,000 repetitions is past the job cap, though the
+  // space alone is not: refused before a single assignment is expanded.
+  auto created = service_->CreateEvaluation(experiment->id, "too big",
+                                            /*repetitions=*/1000);
+  EXPECT_EQ(created.status().code(), StatusCode::kResourceExhausted)
+      << created.status();
+  EXPECT_EQ(row_counts(), before);
+  // The same space without repetitions is within the cap.
+  EXPECT_TRUE(service_->CreateEvaluation(experiment->id, "fits").ok());
+}
+
 // --- Idempotent terminal reports (crash-safe agent retries) ---
 
 TEST_F(ControlServiceTest, UploadResultIsIdempotentPerAttempt) {
@@ -850,32 +888,6 @@ TEST_F(ControlServiceTest, UploadResultIsIdempotentPerAttempt) {
 
   // A keyless upload still hits the legacy state check.
   EXPECT_TRUE(service_->UploadResult(job_id, data, "").IsFailedPrecondition());
-}
-
-TEST_F(ControlServiceTest, UploadReplayCompletesHalfAppliedTransition) {
-  MakeDemoEvaluation();
-  model::Deployment deployment = AddDeployment(system_id_);
-  auto job = service_->PollJob(deployment.id);
-  ASSERT_TRUE(job->has_value());
-  const std::string job_id = (*job)->id;
-  const std::string key = job_id + "#1";
-
-  // Simulate a crash between the result insert and the finished transition:
-  // the row exists but the job is still running.
-  model::Result half;
-  half.id = GenerateUuid();
-  half.job_id = job_id;
-  half.data = json::Json::MakeObject();
-  half.idempotency_key = key;
-  ASSERT_TRUE(db_->results().Insert(half).ok());
-  ASSERT_EQ(service_->GetJob(job_id)->state, JobState::kRunning);
-
-  // The agent's retry with the same key completes the transition instead of
-  // inserting a duplicate row.
-  ASSERT_TRUE(
-      service_->UploadResult(job_id, json::Json::MakeObject(), "", key).ok());
-  EXPECT_EQ(service_->GetJob(job_id)->state, JobState::kFinished);
-  EXPECT_EQ(db_->results().FindBy("job_id", json::Json(job_id)).size(), 1u);
 }
 
 TEST_F(ControlServiceTest, FailJobReplayDoesNotBurnNextAttempt) {
@@ -1013,81 +1025,6 @@ TEST_F(ControlServiceTest, ReconcileGrantsGraceLeaseToOrphanedRunningJobs) {
   auto recycled = service_->GetJob(job_id);
   EXPECT_EQ(recycled->state, JobState::kScheduled);
   EXPECT_EQ(recycled->attempt, 2);
-}
-
-TEST_F(ControlServiceTest, ReconcileCompletesHalfAppliedUpload) {
-  MakeDemoEvaluation();
-  model::Deployment deployment = AddDeployment(system_id_);
-  auto job = service_->PollJob(deployment.id);
-  ASSERT_TRUE(job->has_value());
-  const std::string job_id = (*job)->id;
-
-  // Crash window: result row committed, finished transition lost.
-  model::Result half;
-  half.id = GenerateUuid();
-  half.job_id = job_id;
-  half.data = json::Json::MakeObject();
-  half.idempotency_key = job_id + "#1";
-  ASSERT_TRUE(db_->results().Insert(half).ok());
-
-  service_ = std::make_unique<ControlService>(db_.get(), &clock_, options_);
-  ReconcileReport report = service_->ReconcileOnStartup();
-  EXPECT_EQ(report.actions["complete_upload"], 1);
-  EXPECT_EQ(service_->GetJob(job_id)->state, JobState::kFinished);
-  EXPECT_EQ(db_->results().FindBy("job_id", json::Json(job_id)).size(), 1u);
-}
-
-TEST_F(ControlServiceTest, ReconcileScrubsResidueAndDropsOrphans) {
-  model::Evaluation evaluation = MakeDemoEvaluation();
-  model::Deployment deployment = AddDeployment(system_id_);
-  auto job = service_->PollJob(deployment.id);
-  ASSERT_TRUE(job->has_value());
-  const std::string job_id = (*job)->id;
-
-  // A scheduled job that kept executor residue (torn reschedule).
-  {
-    auto snapshot = db_->jobs().GetWithVersion(job_id);
-    ASSERT_TRUE(snapshot.ok());
-    auto [fresh, version] = *snapshot;
-    fresh.state = JobState::kScheduled;
-    ASSERT_TRUE(db_->jobs().UpdateIfVersion(fresh, version).ok());
-  }
-  // Orphan rows pointing at a job that does not exist.
-  model::Result orphan_result;
-  orphan_result.id = GenerateUuid();
-  orphan_result.job_id = "ghost-job";
-  ASSERT_TRUE(db_->results().Insert(orphan_result).ok());
-  model::JobEvent orphan_event;
-  orphan_event.id = GenerateUuid();
-  orphan_event.job_id = "ghost-job";
-  orphan_event.kind = "note";
-  ASSERT_TRUE(db_->job_events().Insert(orphan_event).ok());
-  // An evaluation shell with zero jobs (crash mid-expansion).
-  model::Evaluation empty;
-  empty.id = GenerateUuid();
-  empty.experiment_id = experiment_id_;
-  empty.name = "torn";
-  ASSERT_TRUE(db_->evaluations().Insert(empty).ok());
-
-  service_ = std::make_unique<ControlService>(db_.get(), &clock_, options_);
-  ReconcileReport report = service_->ReconcileOnStartup();
-  EXPECT_EQ(report.actions["sanitize_scheduled"], 1);
-  EXPECT_EQ(report.actions["drop_empty_evaluation"], 1);
-  EXPECT_EQ(report.actions["drop_orphan_result"], 1);
-  EXPECT_EQ(report.actions["drop_orphan_event"], 1);
-
-  auto scrubbed = service_->GetJob(job_id);
-  EXPECT_TRUE(scrubbed->deployment_id.empty());
-  EXPECT_EQ(scrubbed->last_heartbeat_at, 0);
-  EXPECT_FALSE(db_->evaluations().Exists(empty.id));
-  EXPECT_FALSE(db_->results().Exists(orphan_result.id));
-  EXPECT_FALSE(db_->job_events().Exists(orphan_event.id));
-  // The healthy evaluation was untouched.
-  EXPECT_TRUE(db_->evaluations().Exists(evaluation.id));
-  // The scrubbed job is dispatchable again.
-  auto redispatched = service_->PollJob(deployment.id);
-  ASSERT_TRUE(redispatched->has_value());
-  EXPECT_EQ((*redispatched)->id, job_id);
 }
 
 TEST_F(ControlServiceTest, CleanShutdownMarkerShortCircuitsReconcileOnce) {

@@ -7,7 +7,6 @@
 
 #include "common/clock.h"
 #include "common/logging.h"
-#include "common/threading.h"
 #include "json/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/span.h"
@@ -480,34 +479,6 @@ TEST(SpanCollectorTest, ConcurrentRecordAndSnapshotAreSafe) {
             static_cast<uint64_t>(kThreads) * kSpansPerThread);
   EXPECT_EQ(collector.recorded(),
             collector.dropped() + collector.Snapshot().size());
-}
-
-TEST(ThreadPoolTraceTest, SubmitPropagatesSubmittersContext) {
-  ThreadPool pool(2);
-  TraceContext trace = TraceContext::Generate();
-  TraceIds observed;
-  CountDownLatch ran(1);
-  {
-    TraceScope scope(trace);
-    ASSERT_TRUE(pool.Submit([&observed, &ran] {
-      observed = CurrentTraceIds();
-      ran.CountDown();
-    }));
-  }
-  ran.Wait();
-  EXPECT_EQ(observed.trace_id, trace.trace_id);
-  EXPECT_EQ(observed.span_id, trace.span_id);
-  // A submission without an active scope runs traceless — the worker's
-  // context is restored between tasks, not leaked.
-  TraceIds later;
-  CountDownLatch ran_later(1);
-  ASSERT_TRUE(pool.Submit([&later, &ran_later] {
-    later = CurrentTraceIds();
-    ran_later.CountDown();
-  }));
-  ran_later.Wait();
-  EXPECT_TRUE(later.trace_id.empty());
-  pool.Shutdown();
 }
 
 // --- Serialization & rendering ---

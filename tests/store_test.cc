@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <thread>
 
 #include "common/file_util.h"
@@ -484,6 +483,79 @@ TEST_F(TableStoreTest, AppliedMutationsCounterAdvances) {
   EXPECT_EQ(ts_->applied_mutations(), before + 3);
 }
 
+// --- Batches ---
+
+TEST_F(TableStoreTest, BatchIsOneWalRecordAppliedWhole) {
+  ASSERT_TRUE(ts_->Insert("t", "old", Row("gone")).ok());
+  WriteBatch batch;
+  batch.Insert("t", "1", Row("a"));
+  batch.Update("t", "old", Row("kept"), /*expected_version=*/1);
+  batch.Upsert("u", "2", Row("b"));
+  batch.Delete("t", "old");
+  // Naming "old" twice is rejected before anything is checked or written.
+  auto replay = Wal::Replay(dir_.path() + "/wal.log");
+  ASSERT_TRUE(replay.ok());
+  EXPECT_TRUE(ts_->Commit(std::move(batch)).IsInvalidArgument());
+  EXPECT_EQ(Wal::Replay(dir_.path() + "/wal.log")->size(), replay->size());
+
+  WriteBatch whole;
+  whole.Insert("t", "1", Row("a"));
+  whole.Update("t", "old", Row("kept"), /*expected_version=*/1);
+  whole.Upsert("u", "2", Row("b"));
+  const uint64_t applied = ts_->applied_mutations();
+  ASSERT_TRUE(ts_->Commit(std::move(whole)).ok());
+  EXPECT_EQ(ts_->applied_mutations(), applied + 3);
+  EXPECT_EQ(Wal::Replay(dir_.path() + "/wal.log")->size(),
+            replay->size() + 1);
+  Reopen();
+  EXPECT_EQ(ts_->Get("t", "1")->at("_version").as_int(), 1);
+  EXPECT_EQ(ts_->Get("t", "old")->at("name").as_string(), "kept");
+  EXPECT_EQ(ts_->Get("t", "old")->at("_version").as_int(), 2);
+  EXPECT_EQ(ts_->Get("u", "2")->at("_version").as_int(), 1);
+}
+
+TEST_F(TableStoreTest, BatchWithOneFailingCheckWritesNothing) {
+  ASSERT_TRUE(ts_->Insert("t", "1", Row("a")).ok());
+  const uint64_t wal_bytes = ts_->wal_bytes();
+  auto attempt = [&](int64_t expected_version) {
+    WriteBatch batch;
+    batch.Insert("t", "2", Row("b"));
+    batch.Update("t", "1", Row("c"), expected_version);
+    return ts_->Commit(std::move(batch));
+  };
+  // The stale version is the batch's last write, so the insert before it
+  // already passed its own check when the batch is refused.
+  EXPECT_TRUE(attempt(/*expected_version=*/7).IsFailedPrecondition());
+  EXPECT_FALSE(ts_->Exists("t", "2"));
+  EXPECT_EQ(ts_->Get("t", "1")->at("name").as_string(), "a");
+  EXPECT_EQ(ts_->wal_bytes(), wal_bytes);
+  WriteBatch missing;
+  missing.Insert("t", "3", Row("d"));
+  missing.Delete("t", "absent");
+  EXPECT_TRUE(ts_->Commit(std::move(missing)).IsNotFound());
+  EXPECT_FALSE(ts_->Exists("t", "3"));
+  ASSERT_TRUE(attempt(/*expected_version=*/1).ok());
+  EXPECT_TRUE(ts_->Exists("t", "2"));
+  EXPECT_TRUE(ts_->Commit(WriteBatch()).ok());  // Empty: nothing to log.
+}
+
+TEST_F(TableStoreTest, WalRecordThatIsNotABatchIsCorruption) {
+  ASSERT_TRUE(ts_->Insert("t", "1", Row("a")).ok());
+  ts_.reset();
+  {
+    // An intact frame holding a bare mutation object, not a batch.
+    auto wal = Wal::Open(dir_.path() + "/wal.log");
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(R"({"id":"2","op":"insert","row":{},)"
+                               R"("table":"t"})",
+                               true)
+                    .ok());
+  }
+  auto reopened = TableStore::Open(dir_.path());
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
+}
+
 TEST_F(TableStoreTest, CrashBetweenSnapshotRenameAndWalTruncateIsLossless) {
   // The checkpoint crash window: the new snapshot has been renamed into
   // place but the WAL has not been truncated yet. Every WAL record is
@@ -660,21 +732,11 @@ void ExpectIndexesMatchScans(const TableStore& ts) {
           expected.begin() + std::min<size_t>(2, expected.size()));
       EXPECT_EQ(ts.Find(spec.table, filter, 2), head) << where;
     }
-    std::vector<json::Json> distinct =
-        ts.DistinctValues(spec.table, spec.fields[0]);
-    std::set<std::string> got;
-    for (const json::Json& value : distinct) got.insert(value.Dump());
-    std::set<std::string> want;
-    for (const json::Json& row : ts.Scan(spec.table)) {
-      want.insert(row.at(spec.fields[0]).Dump());
-    }
-    EXPECT_EQ(got, want) << spec.table << "." << spec.fields[0];
-    EXPECT_EQ(got.size(), distinct.size()) << "duplicates in DistinctValues";
   }
 }
 
 // Property: for every index the metadata schema declares, indexed lookups
-// (full keys, leading-field prefixes, limits, counts, distinct values)
+// (full keys, leading-field prefixes, limits, counts)
 // equal a full scan with the same filter, after every step of a seeded
 // insert/update/upsert/delete stream, after WAL replay and after a
 // checkpoint + reopen.
@@ -752,9 +814,6 @@ TEST(TableStoreIndexTest, UnindexedFilterScansInIdOrder) {
   ASSERT_EQ(by_value.size(), 2u);
   EXPECT_EQ(by_value[0].at("id").as_string(), "2");
   EXPECT_EQ(by_value[1].at("id").as_string(), "3");
-  // Distinct values from the index's keys, and from a scan without one.
-  EXPECT_EQ((*ts)->DistinctValues("t", "name").size(), 2u);
-  EXPECT_EQ((*ts)->DistinctValues("t", "value").size(), 2u);
   EXPECT_EQ((*ts)->MaxInt("t", "value"), 9);
   EXPECT_EQ((*ts)->MaxInt("missing", "value"), 0);
 }
