@@ -5,7 +5,13 @@
 // Expectation: thousands of requests/second for the cheap endpoints; the
 // agent-side traffic of even large evaluation fleets (one progress ping per
 // second per job) is far below this ceiling.
+//
+// A second table claims jobs through the v2 poll, whose reply bundles the
+// experiment (with its whole parameter sweep) and the system. Control's time
+// per claim from a 100,000-value sweep must be at most twice its time from a
+// 1,000-value sweep; otherwise the run prints DIVERGES and exits non-zero.
 
+#include <algorithm>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -44,6 +50,74 @@ double MeasureRps(int port, const std::string& token,
                  endpoint.label);
   }
   return static_cast<double>(total) / seconds;
+}
+
+// One evaluation to claim from through POST /api/v2/agent/poll: its
+// experiment sweeps `size` values, on its own system and deployment.
+struct ClaimSweep {
+  int size = 0;
+  std::string evaluation_id;
+  net::HttpRequest poll;
+  std::vector<double> http_us;     // Over a fresh TCP connection.
+  std::vector<double> control_us;  // Dispatched in-process: no socket.
+};
+
+ClaimSweep MakeClaimSweep(bench::Toolkit* toolkit, const std::string& session,
+                          int size) {
+  control::ControlService* service = toolkit->service();
+  toolkit->RegisterNullSystem("claims-" + std::to_string(size));
+  toolkit->AddBareDeployments(1);
+  auto project = service->CreateProject("claims", "", toolkit->admin_id());
+  model::ParameterSetting sweep;
+  sweep.name = "index";
+  for (int i = 0; i < size; ++i) sweep.sweep.push_back(json::Json(i));
+  auto experiment =
+      service->CreateExperiment(project->id, toolkit->admin_id(),
+                                toolkit->system_id(), "sweep", "", {sweep});
+  auto evaluation = service->CreateEvaluation(experiment->id, "claims");
+  if (!evaluation.ok()) std::abort();
+  ClaimSweep claims;
+  claims.size = size;
+  claims.evaluation_id = evaluation->id;
+  claims.poll.method = "POST";
+  claims.poll.path = "/api/v2/agent/poll";
+  claims.poll.headers.Set("X-Session", session);
+  claims.poll.body = "{\"deployment_id\":\"" +
+                     toolkit->deployment_ids().back() + "\"}";
+  return claims;
+}
+
+// Claims one job from `sweep`, over HTTP or through `router`, records the
+// latency and finishes the job in-process so that the next poll claims
+// again.
+void Claim(control::ControlService* service, net::HttpClient* client,
+           const net::Router& router, bool over_http, ClaimSweep* sweep) {
+  uint64_t start = SystemClock::Get()->MonotonicNanos();
+  int status = 0;
+  if (over_http) {
+    auto response = client->Post(sweep->poll.path, sweep->poll.body);
+    status = response.ok() ? response->status_code : 0;
+  } else {
+    status = router.Dispatch(sweep->poll).status_code;
+  }
+  (over_http ? sweep->http_us : sweep->control_us)
+      .push_back(
+          static_cast<double>(SystemClock::Get()->MonotonicNanos() - start) /
+          1e3);
+  auto running =
+      service->ListJobs(sweep->evaluation_id, model::JobState::kRunning);
+  if (status != 200 || running.size() != 1 ||
+      !service->UploadResult(running[0].id, json::Json::MakeObject(), "")
+           .ok()) {
+    std::fprintf(stderr, "a claim from the %d-value sweep failed\n",
+                 sweep->size);
+    std::abort();
+  }
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -115,5 +189,34 @@ int main() {
   }
   std::printf("\nnote: every request opens a fresh TCP connection "
               "(Connection: close), matching one-shot agent calls.\n");
-  return 0;
+
+  // The reply carries the whole sweep (the bytes on the wire are part of
+  // the API), so the HTTP column grows with the sweep by the transfer alone;
+  // the verdict is on what Control spends per claim.
+  std::printf("\n%-34s  %12s  %12s  %15s\n",
+              "v2 claim (POST /api/v2/agent/poll)", "sweep_values",
+              "p50_http_us", "p50_control_us");
+  ClaimSweep small = MakeClaimSweep(&toolkit, session, 1000);
+  ClaimSweep large = MakeClaimSweep(&toolkit, session, 100000);
+  net::HttpClient client("127.0.0.1", toolkit.port());
+  client.SetDefaultHeader("X-Session", session);
+  net::Router router;
+  control::MountRestApi(&router, toolkit.service());
+  // Interleaved, so that drift in the host's load hits both sweeps alike.
+  constexpr int kClaims = 100;
+  for (int i = 0; i < 4 * kClaims; ++i) {
+    Claim(toolkit.service(), &client, router, /*over_http=*/i / 2 % 2 == 0,
+          i % 2 == 0 ? &small : &large);
+  }
+  for (const ClaimSweep* sweep : {&small, &large}) {
+    std::printf("%-34s  %12d  %12.1f  %15.1f\n", "", sweep->size,
+                Median(sweep->http_us), Median(sweep->control_us));
+  }
+  const double ratio = Median(large.control_us) / Median(small.control_us);
+  const bool holds = ratio <= 2.0;
+  std::printf("\nflat claim (Control's time per claim from the 100k sweep "
+              "within 2x of the 1k one, %.2fx; over HTTP %.2fx): shape %s\n",
+              ratio, Median(large.http_us) / Median(small.http_us),
+              holds ? "HOLDS" : "DIVERGES");
+  return holds ? 0 : 1;
 }

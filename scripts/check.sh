@@ -8,6 +8,8 @@
 #                                # prefix audit, ASan)
 #   scripts/check.sh --trace     # trace leg only (e2e trace + Chrome export)
 #   scripts/check.sh --release   # release leg only (-O3 -Werror build + ctest)
+#   scripts/check.sh --shapes    # shapes leg only (paper-shape benches); it
+#                                # is not part of the default matrix
 #
 # Legs (each can be skipped by the environment lacking the tool):
 #   1. chronos_lint self-test + tree lint          (scripts/chronos_lint.py)
@@ -21,6 +23,9 @@
 #   5c. trace e2e (forked server + agent) and Chrome-export validation
 #   6. clang thread-safety build, if clang++ found (build-clang/, compile only)
 #   7. clang-tidy over src/, if clang-tidy found
+#   8. shapes (--shapes only): the benches that print a shape verdict, each
+#      exiting non-zero on DIVERGES. Their thresholds have been checked on
+#      one 4-core host only, so the leg stays out of the default matrix.
 #
 # The sanitizer legs rerun the full suite; the TSan leg restricts ctest to
 # the concurrency/network/store suites to keep wall-clock sane (TSan is
@@ -34,6 +39,7 @@ CHAOS_ONLY=0
 CRASH_ONLY=0
 TRACE_ONLY=0
 RELEASE_ONLY=0
+SHAPES_ONLY=0
 if [ "${1:-}" = "--quick" ]; then
   QUICK=1
 elif [ "${1:-}" = "--chaos" ]; then
@@ -44,6 +50,8 @@ elif [ "${1:-}" = "--trace" ]; then
   TRACE_ONLY=1
 elif [ "${1:-}" = "--release" ]; then
   RELEASE_ONLY=1
+elif [ "${1:-}" = "--shapes" ]; then
+  SHAPES_ONLY=1
 fi
 
 JOBS="$(nproc)"
@@ -161,6 +169,21 @@ print("chrome export OK: %d spans across lanes %r" % (len(complete), lanes))
 PYEOF
 }
 
+shapes_leg() {
+  # E1, E2, E6 and E11: each bench prints its table and a shape verdict, and
+  # exits non-zero on DIVERGES. Every bench runs; the leg fails if any did.
+  local benches=(bench_fig3d_engine_threads bench_engine_workload_mix
+                 bench_rest_api bench_latency_under_load)
+  local failed=0
+  cmake -B build -S . >/dev/null &&
+    cmake --build build -j "${JOBS}" --target "${benches[@]}" || return 1
+  for bench in "${benches[@]}"; do
+    echo "--- ${bench}"
+    "build/bench/${bench}" || { echo "--- ${bench}: FAILED"; failed=1; }
+  done
+  return "${failed}"
+}
+
 clang_build_leg() {
   # Thread-safety analysis is Clang-only; this leg is where the
   # CHRONOS_GUARDED_BY/REQUIRES annotations become compile errors.
@@ -199,6 +222,17 @@ fi
 
 if [ "${RELEASE_ONLY}" = "1" ]; then
   run_leg "build+ctest (Release, -Werror)" release_leg
+  note "summary"
+  if [ "${#FAILED[@]}" -gt 0 ]; then
+    echo "FAILED legs: ${FAILED[*]}"
+    exit 1
+  fi
+  echo "all legs passed"
+  exit 0
+fi
+
+if [ "${SHAPES_ONLY}" = "1" ]; then
+  run_leg "shapes (paper-shape benches)" shapes_leg
   note "summary"
   if [ "${#FAILED[@]}" -gt 0 ]; then
     echo "FAILED legs: ${FAILED[*]}"

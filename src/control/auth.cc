@@ -1,5 +1,7 @@
 #include "control/auth.h"
 
+#include <utility>
+
 #include "common/sha256.h"
 #include "common/uuid.h"
 
@@ -23,14 +25,15 @@ bool VerifyPassword(const std::string& password, const std::string& salt,
   return HashPassword(password, salt) == hash;
 }
 
-std::string SessionManager::CreateSession(const std::string& user_id) {
+std::string SessionManager::CreateSession(model::User user) {
   std::string token = GenerateUuid();
   MutexLock lock(mu_);
-  sessions_[token] = Session{user_id, clock_->NowMs() + ttl_ms_};
+  SweepLocked();
+  sessions_[token] = Session{std::move(user), clock_->NowMs() + ttl_ms_};
   return token;
 }
 
-StatusOr<std::string> SessionManager::Resolve(const std::string& token) {
+StatusOr<model::User> SessionManager::Resolve(const std::string& token) {
   MutexLock lock(mu_);
   auto it = sessions_.find(token);
   if (it == sessions_.end()) {
@@ -40,7 +43,7 @@ StatusOr<std::string> SessionManager::Resolve(const std::string& token) {
     sessions_.erase(it);
     return Status::Unauthenticated("session expired");
   }
-  return it->second.user_id;
+  return it->second.user;
 }
 
 Status SessionManager::Invalidate(const std::string& token) {
@@ -53,6 +56,10 @@ Status SessionManager::Invalidate(const std::string& token) {
 
 int SessionManager::Sweep() {
   MutexLock lock(mu_);
+  return SweepLocked();
+}
+
+int SessionManager::SweepLocked() {
   int removed = 0;
   TimestampMs now = clock_->NowMs();
   for (auto it = sessions_.begin(); it != sessions_.end();) {

@@ -21,19 +21,24 @@ bool VerifyPassword(const std::string& password, const std::string& salt,
 
 // In-memory session tokens ("advanced session management" of the web UI).
 // Tokens are opaque UUIDs handed out at login and carried in the X-Session
-// header.
+// header. A session carries the User captured at login, so resolving a
+// token reads no store row. No code path updates or deletes users today;
+// any future one must invalidate that user's sessions, or they keep serving
+// the old User until they expire.
 class SessionManager {
  public:
   explicit SessionManager(Clock* clock = SystemClock::Get(),
                           int64_t ttl_ms = 12 * 3600 * 1000)
       : clock_(clock), ttl_ms_(ttl_ms) {}
 
-  // Creates a session for the user and returns the token.
-  std::string CreateSession(const std::string& user_id);
+  // Creates a session for the user and returns the token. Drops every
+  // expired session first, so tokens that are never presented again do not
+  // pile up (logins are rare; this is O(live sessions)).
+  std::string CreateSession(model::User user);
 
-  // Resolves a token to its user id; expired/unknown tokens fail with
+  // Resolves a token to its user; expired/unknown tokens fail with
   // Unauthenticated.
-  StatusOr<std::string> Resolve(const std::string& token);
+  StatusOr<model::User> Resolve(const std::string& token);
 
   Status Invalidate(const std::string& token);
 
@@ -44,9 +49,11 @@ class SessionManager {
 
  private:
   struct Session {
-    std::string user_id;
+    model::User user;
     TimestampMs expires_at;
   };
+
+  int SweepLocked() CHRONOS_REQUIRES(mu_);
 
   Clock* clock_;
   int64_t ttl_ms_;

@@ -112,6 +112,16 @@ void ResetForNextAttempt(Job* job) {
   job->last_heartbeat_at = 0;
 }
 
+// Lookups of ControlService's entity text cache, by table and result ("hit"
+// or "miss").
+obs::Counter* EntityCacheCounter(const std::string& table,
+                                 const char* result) {
+  return obs::MetricsRegistry::Get()->GetCounter(
+      "chronos_entity_cache_total",
+      "Entity text cache lookups of the v2 poll bundle, by table and result",
+      {{"table", table}, {"result", result}});
+}
+
 // Tallies one reconciliation action locally and in the process-wide
 // chronos_reconciliation_total{action=...} counter.
 void CountReconciliation(ReconcileReport* report, const std::string& action) {
@@ -197,11 +207,11 @@ StatusOr<std::string> ControlService::Login(const std::string& username,
   if (users.empty()) {
     return Status::Unauthenticated("unknown user or wrong password");
   }
-  const model::User& user = users[0];
+  model::User& user = users[0];
   if (!VerifyPassword(password, user.salt, user.password_hash)) {
     return Status::Unauthenticated("unknown user or wrong password");
   }
-  return sessions_.CreateSession(user.id);
+  return sessions_.CreateSession(std::move(user));
 }
 
 Status ControlService::Logout(const std::string& token) {
@@ -209,10 +219,7 @@ Status ControlService::Logout(const std::string& token) {
 }
 
 StatusOr<model::User> ControlService::Authenticate(const std::string& token) {
-  CHRONOS_ASSIGN_OR_RETURN(std::string user_id, sessions_.Resolve(token));
-  auto user = db_->users().Get(user_id);
-  if (!user.ok()) return Status::Unauthenticated("session user vanished");
-  return user;
+  return sessions_.Resolve(token);
 }
 
 std::vector<model::User> ControlService::ListUsers() {
@@ -511,7 +518,8 @@ std::vector<Job> ControlService::ListJobs(
 }
 
 Status ControlService::EditJob(const std::string& job_id,
-                               const std::function<Status(JobEdit*)>& plan) {
+                               const std::function<Status(JobEdit*)>& plan,
+                               Job* committed) {
   // Optimistic retry loop around the read-plan-commit. Under contention
   // (many agents claiming from one evaluation) bare spinning makes every
   // loser re-collide; a short capped backoff between attempts spreads the
@@ -538,6 +546,7 @@ Status ControlService::EditJob(const std::string& job_id,
       for (const auto& [from, to] : edit.transitions) {
         ObserveTransition(job_id, from, to);
       }
+      if (committed != nullptr) *committed = std::move(edit.job);
       return Status::Ok();
     }
     if (!status.IsFailedPrecondition()) return status;
@@ -548,12 +557,15 @@ Status ControlService::EditJob(const std::string& job_id,
 
 Status ControlService::TransitionJob(
     const std::string& job_id, JobState to,
-    const std::function<void(Job*)>& mutate) {
-  return EditJob(job_id, [&](JobEdit* edit) {
-    CHRONOS_RETURN_IF_ERROR(Advance(edit, to));
-    if (mutate) mutate(&edit->job);
-    return Status::Ok();
-  });
+    const std::function<void(Job*)>& mutate, Job* committed) {
+  return EditJob(
+      job_id,
+      [&](JobEdit* edit) {
+        CHRONOS_RETURN_IF_ERROR(Advance(edit, to));
+        if (mutate) mutate(&edit->job);
+        return Status::Ok();
+      },
+      committed);
 }
 
 Status ControlService::Advance(JobEdit* edit, JobState to) {
@@ -618,23 +630,83 @@ StatusOr<std::optional<Job>> ControlService::PollJob(
         std::find_if(head.begin(), head.end(),
                      [&](const Job& job) { return lost.count(job.id) == 0; });
     if (candidate == head.end()) return std::optional<Job>();
+    Job claimed;
     Status status = TransitionJob(
-        candidate->id, JobState::kRunning, [&](Job* job) {
+        candidate->id, JobState::kRunning,
+        [&](Job* job) {
           job->deployment_id = deployment_id;
           job->started_at = now;
           job->last_heartbeat_at = now;
           job->trace_id = claim_trace_id;
-        });
+        },
+        &claimed);
     if (status.ok()) {
       // Crash seam: the claim is durable but the agent never hears about
       // it. Recovery must re-run the job via the heartbeat timeout, not
       // lose it or hand it out twice.
       CHRONOS_RETURN_IF_ERROR(fault::Inject("control.claim.committed"));
-      span.SetAttribute("job_id", candidate->id);
-      return std::optional<Job>(*GetJob(candidate->id));
+      span.SetAttribute("job_id", claimed.id);
+      return std::optional<Job>(std::move(claimed));
     }
     lost.insert(candidate->id);
   }
+}
+
+StatusOr<std::shared_ptr<const std::string>> ControlService::ExperimentText(
+    const std::string& experiment_id) {
+  return EntityText(db_->experiments(), experiment_id);
+}
+
+StatusOr<std::shared_ptr<const std::string>> ControlService::SystemText(
+    const std::string& system_id) {
+  return EntityText(db_->systems(), system_id);
+}
+
+template <typename T>
+StatusOr<std::shared_ptr<const std::string>> ControlService::EntityText(
+    const model::Repository<T>& repository, const std::string& id) {
+  // One instantiation per entity type, and each type lives in one table.
+  static obs::Counter* const hits =
+      EntityCacheCounter(repository.table(), "hit");
+  static obs::Counter* const misses =
+      EntityCacheCounter(repository.table(), "miss");
+  const std::string& table = repository.table();
+  const int64_t version = db_->table_store()->Version(table, id);
+  if (version < 0) {
+    return Status::NotFound("row not found: " + table + "/" + id);
+  }
+  std::pair<std::string, std::string> key(table, id);
+  {
+    MutexLock lock(text_cache_mu_);
+    auto it = text_cache_.find(key);
+    if (it != text_cache_.end() && it->second.version == version) {
+      hits->Increment();
+      return it->second.text;
+    }
+  }
+  misses->Increment();
+  // File the text under the version it was read at, never the one probed
+  // above: an update committed in between must not leave the old text
+  // behind under the new version.
+  CHRONOS_ASSIGN_OR_RETURN(auto snapshot, repository.GetWithVersion(id));
+  auto text =
+      std::make_shared<const std::string>(snapshot.first.ToJson().Dump());
+  MutexLock lock(text_cache_mu_);
+  auto it = text_cache_.find(key);
+  if (it != text_cache_.end()) {
+    // A racing miss may already have filed a later version; keep that one.
+    if (it->second.version >= snapshot.second) return text;
+    text_cache_bytes_ -= it->second.text->size();
+    text_cache_.erase(it);
+  }
+  if (text->size() > kTextCacheBudgetBytes) return text;
+  if (text_cache_bytes_ + text->size() > kTextCacheBudgetBytes) {
+    text_cache_.clear();
+    text_cache_bytes_ = 0;
+  }
+  text_cache_bytes_ += text->size();
+  text_cache_.emplace(std::move(key), TextEntry{snapshot.second, text});
+  return text;
 }
 
 StatusOr<JobState> ControlService::ReportProgress(const std::string& job_id,

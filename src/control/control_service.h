@@ -4,6 +4,7 @@
 #include <atomic>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -138,6 +139,15 @@ class ControlService {
   StatusOr<std::optional<model::Job>> PollJob(
       const std::string& deployment_id);
 
+  // The experiment's and the system's ToJson().Dump() text, as the v2 poll
+  // bundles them with a claimed job; NotFound if the row is absent. Served
+  // from a cache (see EntityText), so a claim costs the same at any sweep
+  // size.
+  StatusOr<std::shared_ptr<const std::string>> ExperimentText(
+      const std::string& experiment_id);
+  StatusOr<std::shared_ptr<const std::string>> SystemText(
+      const std::string& system_id);
+
   // Progress/heartbeat/log from the running agent. The returned state lets
   // the agent observe aborts. `attempt` (0 = not supplied, for old agents)
   // guards against posts from a superseded attempt touching the current one:
@@ -245,12 +255,15 @@ class ControlService {
   // freshly read job, changes it and stages the rows that go with it; the
   // job row and those rows commit as one batch. A lost version race backs
   // off, re-reads and re-plans. ObserveTransition runs once it committed.
+  // Once it committed, `committed` (if set) receives the job as written.
   Status EditJob(const std::string& job_id,
-                 const std::function<Status(JobEdit*)>& plan);
+                 const std::function<Status(JobEdit*)>& plan,
+                 model::Job* committed = nullptr);
   // EditJob with a plan that takes one checked transition to `to`; `mutate`
   // may adjust more fields after the state is set.
   Status TransitionJob(const std::string& job_id, model::JobState to,
-                       const std::function<void(model::Job*)>& mutate);
+                       const std::function<void(model::Job*)>& mutate,
+                       model::Job* committed = nullptr);
   // Checks and applies `to` on the edit's job and stages its "state" event.
   Status Advance(JobEdit* edit, model::JobState to);
   // Stages one job event in `batch`.
@@ -258,6 +271,26 @@ class ControlService {
                   const std::string& kind, const std::string& message);
   // Clears the one-shot clean-shutdown marker if present (no write if absent).
   void ConsumeCleanShutdownMarker();
+
+  // One row's serialised text, valid for exactly one row _version.
+  struct TextEntry {
+    int64_t version;
+    std::shared_ptr<const std::string> text;
+  };
+  // The text cache's byte budget: an insert that would go over it clears
+  // the cache first, and a text larger than the whole budget is served
+  // without being cached.
+  static constexpr size_t kTextCacheBudgetBytes = 16 << 20;
+
+  // Row `id` of `repository` as ToJson().Dump() text. Entries are keyed by
+  // (table, id) and each is valid for exactly one _version: a lookup probes
+  // the row's committed version (one map lookup, no row copied) and reads
+  // and renders the row only when the entry holds another version. That is
+  // sound because an id's _version never restarts: no code path deletes
+  // experiments or systems. Counted in chronos_entity_cache_total.
+  template <typename T>
+  StatusOr<std::shared_ptr<const std::string>> EntityText(
+      const model::Repository<T>& repository, const std::string& id);
 
   model::MetaDb* db_;
   Clock* clock_;
@@ -267,6 +300,10 @@ class ControlService {
   // construction so ordering survives control-server restarts.
   std::atomic<int64_t> event_seq_;
   std::atomic<bool> draining_{false};
+  Mutex text_cache_mu_;
+  std::map<std::pair<std::string, std::string>, TextEntry> text_cache_
+      CHRONOS_GUARDED_BY(text_cache_mu_);
+  size_t text_cache_bytes_ CHRONOS_GUARDED_BY(text_cache_mu_) = 0;
   Mutex drain_mu_;
   std::function<void()> drain_callback_ CHRONOS_GUARDED_BY(drain_mu_);
   ReconcileReport reconcile_report_;

@@ -663,16 +663,39 @@ void MountVersion(net::Router* router, ControlService* service,
           out.Set("job", nullptr);
           return HttpResponse::Json(out);
         }
-        out.Set("job", (*job)->ToJson());
-        if (version >= 2) {
-          // v2: bundle the experiment and system so the agent needs no
-          // follow-up round trips.
-          auto experiment = service->GetExperiment((*job)->experiment_id);
-          if (experiment.ok()) out.Set("experiment", experiment->ToJson());
-          auto system = service->GetSystem((*job)->system_id);
-          if (system.ok()) out.Set("system", system->ToJson());
+        if (version < 2) {
+          out.Set("job", (*job)->ToJson());
+          return HttpResponse::Json(out);
         }
-        return HttpResponse::Json(out);
+        // v2: bundle the experiment and system so the agent needs no
+        // follow-up round trips. Their texts come from the service's cache
+        // and are spliced in Json::Dump's key order ("experiment", "job",
+        // "system"), so the bytes equal dumping the three as one object. A
+        // failed lookup omits its key.
+        auto experiment = service->ExperimentText((*job)->experiment_id);
+        auto system = service->SystemText((*job)->system_id);
+        HttpResponse response;
+        response.status_code = 200;
+        response.headers.Set("Content-Type", "application/json");
+        const std::string job_text = (*job)->ToJson().Dump();
+        std::string& text = response.body;
+        text.reserve(job_text.size() + 32 +
+                     (experiment.ok() ? (*experiment)->size() : 0) +
+                     (system.ok() ? (*system)->size() : 0));
+        text += '{';
+        if (experiment.ok()) {
+          text += "\"experiment\":";
+          text += **experiment;
+          text += ',';
+        }
+        text += "\"job\":";
+        text += job_text;
+        if (system.ok()) {
+          text += ",\"system\":";
+          text += **system;
+        }
+        text += '}';
+        return response;
       }));
 
   router->Post(

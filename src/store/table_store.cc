@@ -407,6 +407,12 @@ StatusOr<json::Json> TableStore::Get(const std::string& table,
   return Status::NotFound("row not found: " + table + "/" + id);
 }
 
+int64_t TableStore::Version(const std::string& table,
+                            const std::string& id) const {
+  MutexLock lock(mu_);
+  return StoredVersion(table, id);
+}
+
 bool TableStore::Exists(const std::string& table, const std::string& id) const {
   MutexLock lock(mu_);
   auto table_it = tables_.find(table);

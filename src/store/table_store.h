@@ -126,6 +126,9 @@ class TableStore {
   StatusOr<json::Json> Get(const std::string& table,
                            const std::string& id) const;
   bool Exists(const std::string& table, const std::string& id) const;
+  // The committed "_version" of a row, or -1 if it is absent: one lookup,
+  // no row copied.
+  int64_t Version(const std::string& table, const std::string& id) const;
 
   // All rows of a table, sorted by id.
   std::vector<json::Json> Scan(const std::string& table) const;

@@ -375,5 +375,83 @@ TEST_F(ControlConcurrencyTest, HeartbeatMonitorRacesAgents) {
   monitor.Stop();
 }
 
+// The v2 poll bundles the experiment's text from a version-checked cache
+// while another thread keeps toggling the experiment's archived flag. A poll
+// that begins after a toggle returned must see that toggle or a later one,
+// and no job may be claimed twice.
+TEST_F(ControlConcurrencyTest, PollBundleSeesEveryReturnedToggle) {
+  constexpr int kAgents = 4;
+  ASSERT_TRUE(
+      service_->CreateEvaluation(experiment_id_, "more", /*repetitions=*/10)
+          .ok());
+  const size_t total_jobs = 8 + 10 * 8;
+  std::vector<std::string> deployments;
+  for (int i = 0; i < kAgents; ++i) deployments.push_back(AddDeployment(i));
+
+  // Toggle k sets archived = (k is odd); `started` and `returned` hold the
+  // number of the last toggle begun and finished.
+  std::atomic<int> started{0};
+  std::atomic<int> returned{0};
+  // Polls whose whole span saw no toggle in flight, so exactly one state was
+  // current; only those pin the archived flag.
+  std::atomic<int> checked{0};
+  std::atomic<int> stale{0};
+  std::atomic<bool> stop{false};
+  std::thread toggler([&] {
+    for (int k = 1; !stop.load(); ++k) {
+      started.store(k);
+      EXPECT_TRUE(
+          service_->SetExperimentArchived(experiment_id_, k % 2 == 1).ok());
+      returned.store(k);
+      // Let at least one poll begin and end after this toggle, so every
+      // run checks some; the other agents keep racing the next toggle.
+      const int seen = checked.load();
+      while (!stop.load() && checked.load() == seen) std::this_thread::yield();
+    }
+  });
+
+  Mutex mu;
+  std::vector<std::string> claimed;
+  std::vector<std::thread> agents;
+  for (int t = 0; t < kAgents; ++t) {
+    agents.emplace_back([&, t] {
+      for (;;) {
+        const int returned_before = returned.load();
+        auto poll = service_->PollJob(deployments[t]);
+        ASSERT_TRUE(poll.ok()) << poll.status();
+        if (!poll->has_value()) return;
+        const model::Job& job = **poll;
+        auto text = service_->ExperimentText(job.experiment_id);
+        const int started_after = started.load();
+        ASSERT_TRUE(text.ok()) << text.status();
+        auto experiment = json::Parse(**text);
+        ASSERT_TRUE(experiment.ok());
+        if (started_after == returned_before) {
+          const bool expected = returned_before % 2 == 1;
+          if (experiment->at("archived").as_bool() != expected) {
+            stale.fetch_add(1);
+          }
+          checked.fetch_add(1);
+        }
+        {
+          MutexLock lock(mu);
+          claimed.push_back(job.id);
+        }
+        EXPECT_TRUE(
+            service_->UploadResult(job.id, json::Json::MakeObject(), "").ok());
+      }
+    });
+  }
+  for (auto& thread : agents) thread.join();
+  stop.store(true);
+  toggler.join();
+
+  EXPECT_GT(checked.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  std::set<std::string> unique(claimed.begin(), claimed.end());
+  EXPECT_EQ(claimed.size(), total_jobs);
+  EXPECT_EQ(unique.size(), total_jobs);
+}
+
 }  // namespace
 }  // namespace chronos

@@ -13,6 +13,7 @@
 #include "control/auth.h"
 #include "control/control_service.h"
 #include "control/heartbeat_monitor.h"
+#include "obs/metrics_registry.h"
 
 namespace chronos::control {
 namespace {
@@ -33,11 +34,18 @@ TEST(AuthTest, HashIsDeterministicAndSalted) {
   EXPECT_FALSE(VerifyPassword("nope", salt_a, HashPassword("pw", salt_a)));
 }
 
+// A session's User as captured at login; only the id matters to these tests.
+model::User SessionUser(const std::string& id) {
+  model::User user;
+  user.id = id;
+  return user;
+}
+
 TEST(SessionTest, LifecycleAndExpiry) {
   SimulatedClock clock(1000000);
   SessionManager sessions(&clock, /*ttl_ms=*/1000);
-  std::string token = sessions.CreateSession("u1");
-  EXPECT_EQ(*sessions.Resolve(token), "u1");
+  std::string token = sessions.CreateSession(SessionUser("u1"));
+  EXPECT_EQ(sessions.Resolve(token)->id, "u1");
   clock.AdvanceMs(500);
   EXPECT_TRUE(sessions.Resolve(token).ok());
   clock.AdvanceMs(600);
@@ -49,13 +57,28 @@ TEST(SessionTest, LifecycleAndExpiry) {
 TEST(SessionTest, InvalidateAndSweep) {
   SimulatedClock clock;
   SessionManager sessions(&clock, 100);
-  std::string token_a = sessions.CreateSession("a");
-  sessions.CreateSession("b");
+  std::string token_a = sessions.CreateSession(SessionUser("a"));
+  sessions.CreateSession(SessionUser("b"));
   EXPECT_TRUE(sessions.Invalidate(token_a).ok());
   EXPECT_TRUE(sessions.Invalidate(token_a).IsNotFound());
   clock.AdvanceMs(200);
   EXPECT_EQ(sessions.Sweep(), 1);
   EXPECT_EQ(sessions.active_sessions(), 0u);
+}
+
+// Tokens that are never presented again (a CLI login, a restarted agent)
+// must not pile up: each login drops the expired sessions.
+TEST(SessionTest, LoginReclaimsExpiredSessions) {
+  SimulatedClock clock;
+  SessionManager sessions(&clock, /*ttl_ms=*/100);
+  for (int i = 0; i < 1000; ++i) {
+    sessions.CreateSession(SessionUser("u" + std::to_string(i)));
+  }
+  EXPECT_EQ(sessions.active_sessions(), 1000u);
+  clock.AdvanceMs(200);
+  std::string token = sessions.CreateSession(SessionUser("late"));
+  EXPECT_EQ(sessions.active_sessions(), 1u);
+  EXPECT_EQ(sessions.Resolve(token)->id, "late");
 }
 
 // --- Service fixture ---
@@ -674,6 +697,36 @@ TEST_F(ControlServiceTest, SummaryCountsStayConsistentWhileJobsMove) {
   }
   mover.join();
   EXPECT_GT(summaries, 0);
+}
+
+// The v2 poll's entity text cache never holds a text larger than its whole
+// byte budget: such a text is rendered afresh on every lookup.
+TEST_F(ControlServiceTest, EntityTextOverTheCacheBudgetIsServedUncached) {
+  model::System system = RegisterDemoSystem();
+  system.description.assign(16u << 20, 'd');
+  ASSERT_TRUE(service_->UpdateSystem(system).ok());
+  auto miss_count = [] {
+    return obs::MetricsRegistry::Get()
+        ->GetCounter("chronos_entity_cache_total", "",
+                     {{"table", "systems"}, {"result", "miss"}})
+        ->value();
+  };
+  const uint64_t misses = miss_count();
+  auto first = service_->SystemText(system.id);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(**first, system.ToJson().Dump());
+  auto second = service_->SystemText(system.id);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(**second, **first);
+  EXPECT_EQ(miss_count() - misses, 2u);
+
+  // Back under the budget, the next version is cached again.
+  system.description = "small";
+  ASSERT_TRUE(service_->UpdateSystem(system).ok());
+  ASSERT_TRUE(service_->SystemText(system.id).ok());
+  ASSERT_TRUE(service_->SystemText(system.id).ok());
+  EXPECT_EQ(miss_count() - misses, 3u);
+  EXPECT_TRUE(service_->SystemText("no-such-system").status().IsNotFound());
 }
 
 TEST_F(ControlServiceTest, PollUnknownDeploymentFails) {

@@ -11,6 +11,7 @@
 #include "common/strings.h"
 #include "control/rest_api.h"
 #include "net/ftp.h"
+#include "obs/metrics_registry.h"
 #include "sue/mokkadb/wire.h"
 
 namespace chronos {
@@ -627,6 +628,88 @@ TEST_F(IntegrationTest, V2PollBundlesExperimentAndSystem) {
   EXPECT_TRUE(body->Has("experiment"));
   EXPECT_TRUE(body->Has("system"));
   EXPECT_EQ(body->at("system").at("name").as_string(), "MokkaDB");
+}
+
+// The v2 poll splices the experiment's and the system's cached texts into
+// its reply. The bytes must equal dumping the three entities as one object,
+// also after either entity changes, and each (entity, version) is read and
+// rendered once.
+TEST_F(IntegrationTest, V2PollBundleBytesFollowEntityVersions) {
+  StartMokkaDeployments(1);
+  std::vector<json::Json> threads;
+  for (int i = 1; i <= 5000; ++i) threads.push_back(json::Json(i));
+  const std::string evaluation_id =
+      MakeEvaluation({json::Json("wiredtiger")}, std::move(threads));
+  const std::string experiment_id =
+      service_->GetEvaluation(evaluation_id)->experiment_id;
+
+  net::HttpClient client("127.0.0.1", server_->port());
+  auto login = client.Post("/api/v2/auth/login",
+                           R"({"username":"admin","password":"secret"})");
+  ASSERT_TRUE(login.ok());
+  client.SetDefaultHeader(
+      "X-Session", json::Parse(login->body)->at("token").as_string());
+  json::Json poll = json::Json::MakeObject();
+  poll.Set("deployment_id", deployment_ids_[0]);
+
+  // Claims one job over v2, checks the reply against the reference built
+  // from the store, finishes the job and returns the parsed reply.
+  auto poll_and_check = [&]() -> json::Json {
+    auto response = client.Post("/api/v2/agent/poll", poll.Dump());
+    EXPECT_TRUE(response.ok());
+    if (!response.ok()) return json::Json();
+    auto body = json::Parse(response->body);
+    EXPECT_TRUE(body.ok());
+    if (!body.ok()) return json::Json();
+    const std::string job_id = body->at("job").at("id").as_string();
+    json::Json reference = json::Json::MakeObject();
+    reference.Set("job", service_->GetJob(job_id)->ToJson());
+    reference.Set("experiment",
+                  service_->GetExperiment(experiment_id)->ToJson());
+    reference.Set("system", service_->GetSystem(system_id_)->ToJson());
+    EXPECT_EQ(response->body, reference.Dump());
+    EXPECT_TRUE(
+        service_->UploadResult(job_id, json::Json::MakeObject(), "").ok());
+    return *std::move(body);
+  };
+  auto cache_count = [](const char* table, const char* result) {
+    return obs::MetricsRegistry::Get()
+        ->GetCounter("chronos_entity_cache_total", "",
+                     {{"table", table}, {"result", result}})
+        ->value();
+  };
+  const uint64_t experiment_misses = cache_count("experiments", "miss");
+  const uint64_t experiment_hits = cache_count("experiments", "hit");
+  const uint64_t system_misses = cache_count("systems", "miss");
+  const uint64_t system_hits = cache_count("systems", "hit");
+
+  json::Json first = poll_and_check();
+  // MakeEvaluation's settings are engine, threads, records, operations.
+  EXPECT_EQ(first.at("experiment")
+                .at("settings")
+                .as_array()[1]
+                .at("sweep")
+                .as_array()
+                .size(),
+            5000u);
+  EXPECT_FALSE(first.at("experiment").at("archived").as_bool());
+  poll_and_check();
+
+  ASSERT_TRUE(service_->SetExperimentArchived(experiment_id, true).ok());
+  EXPECT_TRUE(poll_and_check().at("experiment").at("archived").as_bool());
+
+  model::System system = *service_->GetSystem(system_id_);
+  system.description = "retuned";
+  ASSERT_TRUE(service_->UpdateSystem(system).ok());
+  EXPECT_EQ(poll_and_check().at("system").at("description").as_string(),
+            "retuned");
+  poll_and_check();
+
+  // Five polls over two versions of each entity: one miss per version.
+  EXPECT_EQ(cache_count("experiments", "miss") - experiment_misses, 2u);
+  EXPECT_EQ(cache_count("experiments", "hit") - experiment_hits, 3u);
+  EXPECT_EQ(cache_count("systems", "miss") - system_misses, 2u);
+  EXPECT_EQ(cache_count("systems", "hit") - system_hits, 3u);
 }
 
 TEST_F(IntegrationTest, HtmlReportServedOverRest) {
